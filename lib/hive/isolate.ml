@@ -44,23 +44,29 @@ let site_counts_for t site =
     t.sites <- Site_map.add site c t.sites;
     c
 
+(* [observed] must be sorted and deduplicated by
+   [Sampling.predicate_compare]: each predicate then counts once per
+   run, and a site's predicates are adjacent, so the site is tallied
+   once, at the last of them. *)
 let record_observations t ~failed observed =
   t.runs <- t.runs + 1;
   if failed then t.failing_runs <- t.failing_runs + 1;
-  let seen_sites = Hashtbl.create 8 in
-  List.iter
-    (fun (predicate : Sampling.predicate) ->
-      let c = counts_for t predicate in
-      if failed then c.failing <- c.failing + 1 else c.passing <- c.passing + 1;
-      if not (Hashtbl.mem seen_sites predicate.Sampling.site) then begin
-        Hashtbl.replace seen_sites predicate.Sampling.site ();
-        let sc = site_counts_for t predicate.Sampling.site in
-        if failed then sc.failing <- sc.failing + 1 else sc.passing <- sc.passing + 1
-      end)
-    observed
+  let tally c = if failed then c.failing <- c.failing + 1 else c.passing <- c.passing + 1 in
+  let rec go = function
+    | [] -> ()
+    | (predicate : Sampling.predicate) :: rest ->
+      tally (counts_for t predicate);
+      (match rest with
+      | next :: _ when Ir.site_equal next.Sampling.site predicate.Sampling.site -> ()
+      | _ -> tally (site_counts_for t predicate.Sampling.site));
+      go rest
+  in
+  go observed
 
+(* Wire-decoded reports carry their rows as sent: a repeated row must
+   not count one run twice. *)
 let record t (sampled : Sampling.t) =
-  let observed = List.map fst sampled.Sampling.counts in
+  let observed = List.sort_uniq Sampling.predicate_compare (List.map fst sampled.Sampling.counts) in
   record_observations t ~failed:(Outcome.is_failure sampled.Sampling.outcome) observed
 
 let record_path t ~full_path ~outcome =

@@ -30,6 +30,7 @@ type node = {
   mutable hits : int;
   mutable terminal : int Bucket_map.t;  (* outcome bucket -> count *)
   mutable open_dirs : Edge_set.t;  (* this node's entries in the open-gap index *)
+  mutable indexed_hits : int;  (* the hit count this node's index keys carry *)
 }
 
 type gap_key = int * Ir.site * bool  (* node id, site, missing direction *)
@@ -37,9 +38,10 @@ type gap_key = int * Ir.site * bool  (* node id, site, missing direction *)
 (* Priority index over open gaps, ordered exactly like [gap_order]
    below: hottest node first, ties broken by the gap record's
    structural order (prefix, then site, then direction).  Keys freeze
-   the node's hit count at insertion time — [node.hits] is mutable and
-   a map key must never change under the map — so every hit-count bump
-   re-keys the node's open gaps (see [bump_hits]). *)
+   the node's hit count at insertion time ([node.indexed_hits]) —
+   [node.hits] is mutable and a map key must never change under the
+   map — so a node whose hits moved on is re-keyed lazily, before the
+   next read of the index (see [sync_gap_index]). *)
 module Gap_index_key = struct
   type t = {
     k_hits : int;
@@ -121,9 +123,12 @@ type t = {
   (* Mirror of [open_gaps] as an ordered map, so the frontier's top-k
      is a prefix read instead of a full sort.  Invariant: contains
      exactly one key per open gap, with [k_hits] equal to the owning
-     node's current hit count (each node's own entries are listed in
-     its [open_dirs]). *)
+     node's [indexed_hits] (each node's own entries are listed in its
+     [open_dirs]).  Every node with open gaps and [indexed_hits <>
+     hits] is on [stale]; [sync_gap_index] re-keys them, so after a
+     sync [k_hits] is the node's current hit count. *)
   mutable gap_index : unit Gap_map.t;
+  mutable stale : node list;
   mutable version : int;  (* bumped on every knowledge-changing mutation *)
   (* Analysis-cost counters (not part of the knowledge, never
      serialized): how many gap records were sorted via the recompute
@@ -144,6 +149,7 @@ let new_node t parent decision =
     hits = 0;
     terminal = Bucket_map.empty;
     open_dirs = Edge_set.empty;
+    indexed_hits = 0;
   }
 
 let create () =
@@ -158,6 +164,7 @@ let create () =
         hits = 0;
         terminal = Bucket_map.empty;
         open_dirs = Edge_set.empty;
+        indexed_hits = 0;
       };
     nodes = 1;
     executions = 0;
@@ -170,6 +177,7 @@ let create () =
     bucket_totals = Hashtbl.create 16;
     open_gaps = Hashtbl.create 64;
     gap_index = Gap_map.empty;
+    stale = [];
     version = 0;
     gaps_sorted = 0;
     gaps_materialized = 0;
@@ -181,46 +189,53 @@ type merge_stats = {
   new_path : bool;
 }
 
+let index_key node site missing =
+  { Gap_index_key.k_hits = node.indexed_hits; k_node = node; k_site = site; k_missing = missing }
+
 (* Open/close one gap in both the hash table and the priority index.
-   [node.hits] must already be the node's current count — the index
-   key freezes it, and [bump_hits] keeps the frozen copies current. *)
+   Keys carry [node.indexed_hits]; a node's first open gap starts it
+   out current, later ones join its (possibly stale) key generation. *)
 let gap_open t node site missing =
+  if Edge_set.is_empty node.open_dirs then node.indexed_hits <- node.hits;
   Hashtbl.replace t.open_gaps (node.id, site, missing) node;
   node.open_dirs <- Edge_set.add (site, missing) node.open_dirs;
-  t.gap_index <-
-    Gap_map.add
-      { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-      () t.gap_index
+  t.gap_index <- Gap_map.add (index_key node site missing) () t.gap_index
 
 let gap_close t node site missing =
   Hashtbl.remove t.open_gaps (node.id, site, missing);
   node.open_dirs <- Edge_set.remove (site, missing) node.open_dirs;
-  t.gap_index <-
-    Gap_map.remove
-      { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-      t.gap_index
+  t.gap_index <- Gap_map.remove (index_key node site missing) t.gap_index
 
 (* A hit-count bump changes the priority of every open gap at the
-   node, so its index entries are re-keyed around the mutation. *)
+   node, but nothing reads the index until the next frontier query:
+   the node only joins [stale] the first time its keys fall behind. *)
 let bump_hits t node =
-  if Edge_set.is_empty node.open_dirs then node.hits <- node.hits + 1
-  else begin
-    Edge_set.iter
-      (fun (site, missing) ->
-        t.gap_index <-
-          Gap_map.remove
-            { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-            t.gap_index)
-      node.open_dirs;
-    node.hits <- node.hits + 1;
-    Edge_set.iter
-      (fun (site, missing) ->
-        t.gap_index <-
-          Gap_map.add
-            { Gap_index_key.k_hits = node.hits; k_node = node; k_site = site; k_missing = missing }
-            () t.gap_index)
-      node.open_dirs
-  end
+  if node.indexed_hits = node.hits && not (Edge_set.is_empty node.open_dirs) then
+    t.stale <- node :: t.stale;
+  node.hits <- node.hits + 1
+
+(* Re-key every stale node's open gaps to its current hit count, once
+   per node however many bumps it took since the last read (a node
+   whose gaps all closed and reopened can be listed twice; the second
+   visit finds it current).  The result depends only on the set of
+   keys, not on the order of [stale], so the index reads back exactly
+   as an eagerly re-keyed one would. *)
+let sync_gap_index t =
+  List.iter
+    (fun node ->
+      if node.indexed_hits <> node.hits then begin
+        Edge_set.iter
+          (fun (site, missing) ->
+            t.gap_index <- Gap_map.remove (index_key node site missing) t.gap_index)
+          node.open_dirs;
+        node.indexed_hits <- node.hits;
+        Edge_set.iter
+          (fun (site, missing) ->
+            t.gap_index <- Gap_map.add (index_key node site missing) () t.gap_index)
+          node.open_dirs
+      end)
+    t.stale;
+  t.stale <- []
 
 (* Aggregate bookkeeping for a brand-new edge [(site, dir)] out of
    [node], called before the edge is inserted.  Every new edge closes
@@ -377,6 +392,7 @@ let gap_of_index_key t (key : Gap_index_key.t) =
   }
 
 let frontier t =
+  sync_gap_index t;
   List.rev (Gap_map.fold (fun key () acc -> gap_of_index_key t key :: acc) t.gap_index [])
 
 let frontier_seq t =
@@ -384,6 +400,7 @@ let frontier_seq t =
      while consuming the sequence (as gap closing during planning
      does) walks the frontier as of this call, exactly like iterating
      a materialized list. *)
+  sync_gap_index t;
   let snapshot = Gap_map.to_seq t.gap_index in
   Seq.map (fun (key, ()) -> gap_of_index_key t key) snapshot
 
@@ -592,6 +609,7 @@ let rebuild_aggregates t =
   Hashtbl.reset t.bucket_totals;
   Hashtbl.reset t.open_gaps;
   t.gap_index <- Gap_map.empty;
+  t.stale <- [];
   fold_nodes
     (fun () node ->
       node.open_dirs <- Edge_set.empty;
@@ -638,6 +656,7 @@ let read r =
       hits = rec_.r_hits;
       terminal = rec_.r_terminal;
       open_dirs = Edge_set.empty;
+      indexed_hits = rec_.r_hits;
     }
   in
   let root_record = read_node_record r in
@@ -672,6 +691,7 @@ let read r =
       bucket_totals = Hashtbl.create 16;
       open_gaps = Hashtbl.create 64;
       gap_index = Gap_map.empty;
+      stale = [];
       version;
       gaps_sorted = 0;
       gaps_materialized = 0;

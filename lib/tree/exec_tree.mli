@@ -71,8 +71,9 @@ val frontier : t -> gap list
 (** All gaps, most-frequently-reached nodes first.  Gaps proven
     infeasible by symbolic analysis are excluded.  O(gaps) with no
     sorting: read off the incrementally-maintained priority index,
-    which {!add_path} and {!mark_infeasible} keep ordered by exactly
-    this order. *)
+    ordered by exactly this order.  {!add_path} only marks nodes whose
+    hit counts moved; every frontier read first re-keys those nodes'
+    open gaps, once per node since the previous read. *)
 
 val frontier_top : t -> int -> gap list
 (** [frontier_top t k] is the first [k] gaps of [frontier t] (all of

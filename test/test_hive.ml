@@ -113,6 +113,40 @@ let test_isolate_from_sampled_reports () =
   | Some rank -> checkb "localized from sampled data" true (rank <= 3)
   | None -> Alcotest.fail "lost under sampling"
 
+(* Rows decoded off the wire are neither sorted nor deduplicated; a
+   repeated row must still count its run once, exactly as the clean
+   report does. *)
+let test_isolate_duplicate_rows_count_once () =
+  let p = { Sampling.site = { Ir.thread = 0; pc = 4 }; direction = true } in
+  let q = { Sampling.site = { Ir.thread = 0; pc = 4 }; direction = false } in
+  let r = { Sampling.site = { Ir.thread = 1; pc = 2 }; direction = true } in
+  let report counts =
+    let report = { Sampling.rate = 1; counts; observed = 4; total = 4; outcome = Outcome.Hang } in
+    match
+      Protocol.decode
+        (Protocol.encode (Protocol.Sampled_report { program_digest = "d"; report }))
+    with
+    | Ok (Protocol.Sampled_report { report; _ }) -> report
+    | Ok _ | Error _ -> Alcotest.fail "sampled report did not round-trip"
+  in
+  let bytes_after counts =
+    let isolate = Isolate.create () in
+    Isolate.record isolate (report counts);
+    let w = Codec.Writer.create () in
+    Isolate.write w isolate;
+    (isolate, Codec.Writer.contents w)
+  in
+  let clean, clean_bytes = bytes_after [ (p, 2); (q, 1); (r, 1) ] in
+  let dup, dup_bytes = bytes_after [ (r, 1); (p, 1); (q, 1); (p, 1) ] in
+  checkb "same tallies as the clean report" true (String.equal clean_bytes dup_bytes);
+  List.iter
+    (fun isolate ->
+      List.iter
+        (fun ranked ->
+          checki "one failing run per predicate" 1 ranked.Isolate.failing_observations)
+        (Isolate.rank isolate))
+    [ clean; dup ]
+
 (* ---- Fixgen ----------------------------------------------------------- *)
 
 let parser_crash_evidence () =
@@ -892,6 +926,8 @@ let () =
           Alcotest.test_case "counts" `Quick test_isolate_counts;
           Alcotest.test_case "no failures" `Quick test_isolate_no_failures_no_positive_score;
           Alcotest.test_case "from sampled" `Quick test_isolate_from_sampled_reports;
+          Alcotest.test_case "duplicate rows count once" `Quick
+            test_isolate_duplicate_rows_count_once;
         ] );
       ( "fixgen",
         [

@@ -258,14 +258,46 @@ let aggregates_match_oracles t =
   && Float.abs (Exec_tree.completeness t -. Exec_tree.completeness_recompute t) < 1e-12
   && Exec_tree.outcome_buckets t = Exec_tree.outcome_buckets_recompute t
 
+(* One random tree operation, applied to any tree (a checkpoint
+   round-trip returns the restored tree): add_path most of the time,
+   otherwise a mark on one of [gaps ()] — usually a real gap, sometimes
+   a bogus (unobserved or already-explored) site or direction, to
+   exercise the no-op accounting paths — or a checkpoint round-trip,
+   whose restored tree rebuilds its aggregates (gap index included)
+   from structure alone. *)
+let random_tree_op rng ~gaps =
+  if Rng.bernoulli rng 0.7 then begin
+    let len = Rng.int_in rng 0 6 in
+    let path = List.init len (fun _ -> ({ Ir.thread = 0; pc = Rng.int rng 3 }, Rng.bool rng)) in
+    let outcome = if Rng.bernoulli rng 0.8 then Outcome.Success else Outcome.Hang in
+    fun t ->
+      ignore (Exec_tree.add_path t path outcome);
+      t
+  end
+  else if Rng.bernoulli rng 0.8 then begin
+    match gaps () with
+    | [] -> Fun.id
+    | gaps ->
+      let gap = List.nth gaps (Rng.int rng (List.length gaps)) in
+      let site =
+        if Rng.bernoulli rng 0.8 then gap.Exec_tree.site else { Ir.thread = 0; pc = Rng.int rng 5 }
+      in
+      let direction = if Rng.bernoulli rng 0.8 then gap.Exec_tree.missing else Rng.bool rng in
+      fun t ->
+        ignore (Exec_tree.mark_infeasible t ~prefix:gap.Exec_tree.prefix ~site ~direction);
+        t
+  end
+  else fun t ->
+    let w = Codec.Writer.create () in
+    Exec_tree.write w t;
+    Exec_tree.read (Codec.Reader.of_string (Codec.Writer.contents w))
+
 (* Randomized interleavings of add_path, mark_infeasible and
    checkpoint round-trips, checking every incremental aggregate — the
    ordered gap index included, via frontier/frontier_top/frontier_seq
-   — against its full-walk oracle after every single operation.  Marks
-   target real frontier gaps most of the time but sometimes a bogus
-   (unobserved or already-explored) site or direction, to exercise the
-   no-op accounting paths; the round-trip step continues on the
-   restored tree, so post-restore index rebuilds feed later ops. *)
+   — against its full-walk oracle after every single operation; the
+   round-trip step continues on the restored tree, so post-restore
+   index rebuilds feed later ops. *)
 let prop_incremental_matches_oracles =
   QCheck.Test.make ~name:"incremental aggregates equal recompute oracles" ~count:1000
     QCheck.(pair small_nat (int_range 1 30))
@@ -274,38 +306,77 @@ let prop_incremental_matches_oracles =
       let t = ref (Exec_tree.create ()) in
       let ok = ref true in
       for _ = 1 to n_ops do
-        (if Rng.bernoulli rng 0.7 then begin
-           let len = Rng.int_in rng 0 6 in
-           let path =
-             List.init len (fun _ -> ({ Ir.thread = 0; pc = Rng.int rng 3 }, Rng.bool rng))
-           in
-           let outcome = if Rng.bernoulli rng 0.8 then Outcome.Success else Outcome.Hang in
-           ignore (Exec_tree.add_path !t path outcome)
-         end
-         else if Rng.bernoulli rng 0.8 then begin
-           match Exec_tree.frontier !t with
-           | [] -> ()
-           | gaps ->
-             let gap = List.nth gaps (Rng.int rng (List.length gaps)) in
-             let site =
-               if Rng.bernoulli rng 0.8 then gap.Exec_tree.site
-               else { Ir.thread = 0; pc = Rng.int rng 5 }
-             in
-             let direction =
-               if Rng.bernoulli rng 0.8 then gap.Exec_tree.missing else Rng.bool rng
-             in
-             ignore (Exec_tree.mark_infeasible !t ~prefix:gap.Exec_tree.prefix ~site ~direction)
-         end
-         else begin
-           (* Checkpoint round-trip: the restored tree rebuilds its
-              aggregates (gap index included) from structure alone. *)
-           let w = Codec.Writer.create () in
-           Exec_tree.write w !t;
-           t := Exec_tree.read (Codec.Reader.of_string (Codec.Writer.contents w))
-         end);
+        t := random_tree_op rng ~gaps:(fun () -> Exec_tree.frontier !t) !t;
         ok := !ok && aggregates_match_oracles !t
       done;
       !ok)
+
+let tree_bytes t =
+  let w = Codec.Writer.create () in
+  Exec_tree.write w t;
+  Codec.Writer.contents w
+
+(* The gap index is re-keyed lazily, at the next frontier read, so
+   hit bumps can pile up over many operations.  Two twin trees take
+   the same windows of 1-20 random operations: [read] gets frontier
+   reads in between, [quiet] only the oracle check at the end of each
+   window.  Their checkpoint bytes must agree after every operation,
+   and a [frontier_seq] taken mid-window must still yield the frontier
+   as of its call once the window's later operations have run. *)
+let prop_stale_window_matches_oracles =
+  QCheck.Test.make ~name:"lazily re-keyed gap index equals oracles across op windows"
+    ~count:300
+    QCheck.(pair small_nat (int_range 1 5))
+    (fun (seed, n_windows) ->
+      let rng = Rng.create ((seed * 977) + n_windows) in
+      let read = ref (Exec_tree.create ()) in
+      let quiet = ref (Exec_tree.create ()) in
+      let ok = ref true in
+      for _ = 1 to n_windows do
+        let window = Rng.int_in rng 1 20 in
+        let snapshot_at = Rng.int rng window in
+        let snapshot = ref (Seq.empty, []) in
+        for i = 0 to window - 1 do
+          if i = snapshot_at then
+            snapshot := (Exec_tree.frontier_seq !read, Exec_tree.frontier_recompute !read);
+          let op = random_tree_op rng ~gaps:(fun () -> Exec_tree.frontier_recompute !quiet) in
+          read := op !read;
+          quiet := op !quiet;
+          if Rng.bernoulli rng 0.3 then ignore (Exec_tree.frontier_top !read (Rng.int rng 4));
+          ok := !ok && String.equal (tree_bytes !read) (tree_bytes !quiet)
+        done;
+        let seq, as_of_call = !snapshot in
+        ok :=
+          !ok
+          && List.of_seq seq = as_of_call
+          && aggregates_match_oracles !read
+          && aggregates_match_oracles !quiet
+      done;
+      !ok)
+
+(* Re-walking a known path only bumps hit counts: the gap index is not
+   touched until the next frontier read.  A duplicate ~100-decision
+   path through nodes that all carry open gaps must stay within a few
+   words per decision (re-keying the index on every bump cost ~127). *)
+let test_rewalk_allocation () =
+  let depth = 100 in
+  let path = List.init depth (fun pc -> ({ Ir.thread = 0; pc }, true)) in
+  let sibling = List.mapi (fun i (site, d) -> (site, if i = depth / 2 then not d else d)) path in
+  let t = Exec_tree.create () in
+  ignore (Exec_tree.add_path t path Outcome.Success);
+  ignore (Exec_tree.add_path t sibling Outcome.Success);
+  (* A frontier read leaves every node current, so the re-walk below
+     also pays for putting each node on the stale list. *)
+  ignore (Exec_tree.frontier_top t 8);
+  let before = Gc.minor_words () in
+  ignore (Exec_tree.add_path t path Outcome.Success);
+  let words = Gc.minor_words () -. before in
+  checkb
+    (Printf.sprintf "%.0f words for %d decisions" words depth)
+    true
+    (words < 8.0 *. float_of_int depth);
+  checkb "frontier still equals the oracle" true
+    (Exec_tree.frontier t = Exec_tree.frontier_recompute t)
 
 let test_version_change_detection () =
   let t = Exec_tree.create () in
@@ -385,10 +456,12 @@ let () =
           q prop_distinct_paths_bounded_by_terminals;
           q prop_frontier_gaps_are_real;
           q prop_incremental_matches_oracles;
+          q prop_stale_window_matches_oracles;
         ] );
       ( "incremental",
         [
           Alcotest.test_case "version change detection" `Quick test_version_change_detection;
+          Alcotest.test_case "re-walk allocation" `Quick test_rewalk_allocation;
         ] );
       ( "coverage",
         [
