@@ -35,7 +35,7 @@ let default_config =
 
 (* Same FNV-1a as [Protocol.basis_fingerprint]: seed-free, so cohort
    membership depends only on (cohort id, fix id) — never on pool
-   size, shard count, or process-global pod-id allocation order. *)
+   size, shard count, or pod ids. *)
 let cohort_hash ~cohort ~fix_id =
   let h = ref 0x3bf29ce484222325 in
   let mix b = h := (!h lxor (b land 0xff)) * 0x100000001b3 land max_int in

@@ -194,7 +194,7 @@ let replay_hooks t (trace : Trace.t) =
   | Some a -> Fixgen.runtime_hooks_for_ids ~ids:a.Trace.active_fixes t.fixes
   | None -> hooks_for_epoch t trace.Trace.fix_epoch
 
-let ingest_trace ?prepared ?reconstruction t (trace : Trace.t) =
+let ingest_trace ?prepared t (trace : Trace.t) =
   if quarantines t trace then begin
     t.quarantined <- t.quarantined + 1;
     Ok ()
@@ -216,29 +216,19 @@ let ingest_trace ?prepared ?reconstruction t (trace : Trace.t) =
         merge_reconstruction t trace reconstruction;
         Ok ()
       | None -> (
-        match reconstruction with
-        | Some reconstruction ->
-          (* Precomputed off-thread (batch decode on the worker pool).
-             The caller guarantees it was built against the current fix
-             set, so it equals what the replay below would produce — the
-             cache and merge behave exactly as in a sequential run. *)
+        let hooks = replay_hooks t trace in
+        match
+          Interp.reconstruct ~hooks ~program:t.program ~bits:trace.Trace.bits
+            ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
+            ~total_steps:trace.Trace.steps ()
+        with
+        | Ok reconstruction ->
           Option.iter (fun cache -> Lru.add cache content_key reconstruction) t.replay_cache;
           merge_reconstruction t trace reconstruction;
           Ok ()
-        | None -> (
-          let hooks = replay_hooks t trace in
-          match
-            Interp.reconstruct ~hooks ~program:t.program ~bits:trace.Trace.bits
-              ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
-              ~total_steps:trace.Trace.steps ()
-          with
-          | Ok reconstruction ->
-            Option.iter (fun cache -> Lru.add cache content_key reconstruction) t.replay_cache;
-            merge_reconstruction t trace reconstruction;
-            Ok ()
-          | Error msg ->
-            t.replay_errors <- t.replay_errors + 1;
-            Error msg))
+        | Error msg ->
+          t.replay_errors <- t.replay_errors + 1;
+          Error msg)
   end
 
 let ingest_sampled t sampled =

@@ -95,17 +95,13 @@ val store : t -> Trace_store.t
 
 val ingest_trace :
   ?prepared:Trace_store.prepared ->
-  ?reconstruction:Interp.reconstruction ->
   t ->
   Trace.t ->
   (unit, string) result
 (** Full ingestion: replay the by-products, merge the path into the
     tree, feed the deadlock miner and the isolator, bucket failures.
     [prepared] skips re-encoding at admission (see
-    {!Trace_store.prepare}); [reconstruction] skips the replay on a
-    cache miss — the caller must guarantee it was computed against the
-    current fix set, or knowledge bytes would diverge from a
-    sequential ingest. *)
+    {!Trace_store.prepare}). *)
 
 val ingest_sampled : t -> Sampling.t -> unit
 (** CBI-mode ingestion: sparse predicate counts and an outcome label;

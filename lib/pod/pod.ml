@@ -90,6 +90,9 @@ type t = {
   program : Ir.t;
   digest : string;
   endpoint : Transport.endpoint;
+  (* [cohort + 1]: the id stamped on uploaded traces, derived from the
+     cohort so a run's bytes never depend on earlier runs in the same
+     process. *)
   pod_id : int;
   (* Replayable cohort identity for canary membership: the platform
      passes the pod's fleet index, so the same run config yields the
@@ -132,8 +135,6 @@ type t = {
   mutable batches_sent : int;
   mutable delta_records : int;
 }
-
-let next_pod_id = ref 0
 
 let bump_signal t signal =
   let rec loop = function
@@ -196,8 +197,8 @@ let handle_message t payload =
        a federation router, which consumes the shard map itself. *)
     ()
 
-let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
-  incr next_pod_id;
+let create ?(config = default_config) ~cohort ~sim ~rng ~program ~endpoint () =
+  let pod_id = cohort + 1 in
   let t =
     {
       config;
@@ -206,8 +207,8 @@ let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
       program;
       digest = Ir.digest program;
       endpoint;
-      pod_id = !next_pod_id;
-      cohort = Option.value ~default:!next_pod_id cohort;
+      pod_id;
+      cohort;
       fixes = [];
       fix_epoch = 0;
       canary = [];
@@ -224,7 +225,7 @@ let create ?(config = default_config) ?cohort ~sim ~rng ~program ~endpoint () =
       traces_uploaded = 0;
       signal_counts = [];
       active = true;
-      pressure_rng = Rng.create (0x9E3779B9 lxor !next_pod_id);
+      pressure_rng = Rng.create (0x9E3779B9 lxor pod_id);
       pressure = 0;
       success_streak = 0;
       thinned_uploads = 0;

@@ -95,7 +95,7 @@ type t
 
 val create :
   ?config:config ->
-  ?cohort:int ->
+  cohort:int ->
   sim:Sim.t ->
   rng:Rng.t ->
   program:Ir.t ->
@@ -105,8 +105,8 @@ val create :
 (** [endpoint] is the pod's side of its connection to the hive; the
     pod installs its receive handler.  [cohort] is the pod's stable
     identity for canary-cohort membership (the platform passes the
-    fleet index, making cohorts replayable across runs); it defaults
-    to the process-global pod counter. *)
+    fleet index, making cohorts replayable across runs); the pod's id
+    on uploaded traces is [cohort + 1]. *)
 
 val start : t -> unit
 (** Schedule the first user session. *)

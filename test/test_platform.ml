@@ -11,6 +11,7 @@ module Link = Softborg_net.Link
 module Sim = Softborg_net.Sim
 module Rng = Softborg_util.Rng
 module Fault_plan = Softborg_net.Fault_plan
+module Checkpoint = Softborg_hive.Checkpoint
 module Pod = Softborg_pod.Pod
 module Workload = Softborg_pod.Workload
 module Platform = Softborg.Platform
@@ -245,7 +246,7 @@ let test_platform_duplicating_network_no_double_count () =
     }
   in
   let pod =
-    Pod.create ~config:pod_config ~sim ~rng:(Rng.split rng) ~program ~endpoint:pod_end ()
+    Pod.create ~config:pod_config ~cohort:0 ~sim ~rng:(Rng.split rng) ~program ~endpoint:pod_end ()
   in
   Hive.start hive;
   Pod.start pod;
@@ -352,6 +353,39 @@ let test_platform_chaos_deterministic () =
   in
   checkb "same chaos seed, same outcome" true (run () = run ())
 
+let test_platform_repeat_runs_identical () =
+  (* Pod ids derive from the fleet index, not from how many pods the
+     process minted before: a second run at 64 pods (where a global
+     counter would push ids past one varint byte) uploads the same
+     bytes and ends with the same knowledge. *)
+  let config =
+    { (Scenario.single_program ~seed:5 Corpus.parser) with Platform.n_pods = 64; duration = 60.0 }
+  in
+  let knowledge_bytes () = Checkpoint.encode (Platform.run config).Platform.knowledge in
+  let first = knowledge_bytes () in
+  checkb "second run, same knowledge bytes" true (String.equal first (knowledge_bytes ()))
+
+let test_platform_chaos_across_shards () =
+  (* One chaos plan at 1, 2 and 3 shards.  Crash [k] restores shard
+     [k mod n], so every crash is one restore at any shard count, while
+     each checkpoint round snapshots every shard. *)
+  let base =
+    let config = Scenario.single_program ~seed:5 Corpus.parser in
+    Scenario.with_chaos ~chaos_seed:77 { config with Platform.n_pods = 10; duration = 1200.0 }
+  in
+  let totals n =
+    let f = (Platform.run (Scenario.with_shards n base)).Platform.final in
+    (f.Metrics.checkpoints, f.Metrics.restores)
+  in
+  let checkpoints1, restores1 = totals 1 in
+  checkb "the plan crashes the hive" true (restores1 > 0);
+  List.iter
+    (fun n ->
+      let checkpoints, restores = totals n in
+      checki (Printf.sprintf "%d shards: restores" n) restores1 restores;
+      checki (Printf.sprintf "%d shards: checkpoints" n) (n * checkpoints1) checkpoints)
+    [ 2; 3 ]
+
 let () =
   Alcotest.run "softborg_platform"
     [
@@ -372,11 +406,13 @@ let () =
           Alcotest.test_case "lossy network" `Quick test_platform_lossy_network_loses_nothing;
           Alcotest.test_case "guided fix first" `Quick test_platform_guided_fix_before_user_failure;
           Alcotest.test_case "duplicating network" `Quick test_platform_duplicating_network_no_double_count;
+          Alcotest.test_case "repeat runs identical" `Quick test_platform_repeat_runs_identical;
         ] );
       ( "chaos",
         [
           Alcotest.test_case "checkpoint identity" `Quick test_platform_chaos_checkpoint_identity;
           Alcotest.test_case "rollback recovers" `Quick test_platform_chaos_rollback_recovers;
           Alcotest.test_case "deterministic" `Quick test_platform_chaos_deterministic;
+          Alcotest.test_case "across shards" `Quick test_platform_chaos_across_shards;
         ] );
     ]
