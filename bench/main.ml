@@ -1609,7 +1609,8 @@ let overload_smoke () =
         };
     }
   in
-  (* Invariant 1: at pressure 0 the overload layer is byte-invisible. *)
+  (* Invariant 1: at pressure 0 an explicit overload config is
+     byte-identical to the default (instant-service) admission. *)
   let baseline = Format.asprintf "%a" Platform.pp_report (Platform.run config) in
   let idle = { Hive.default_overload_config with Hive.service_interval = 0.0 } in
   let guarded =
@@ -2075,7 +2076,7 @@ let fed_suite ?(smoke = false) () =
     let config = { (Hive.default_config Hive.Full) with Hive.synthesize = false } in
     let hive = Hive.create ~config ~sim () in
     List.iter (fun p -> ignore (Hive.register_program hive p)) fed_programs;
-    List.iter (fun (_, payload) -> Hive.ingest_payload hive payload) eq_uploads;
+    List.iter (fun (_, payload) -> Hive.inject hive ~slot:0 payload) eq_uploads;
     Hive.checkpoint hive
   in
   let merged_bytes n_shards =
@@ -2152,7 +2153,7 @@ let fed_suite ?(smoke = false) () =
           List.iter
             (fun (trace, payload) ->
               let owner = Shard_map.owner_of_bits map trace.Trace.bits in
-              Hive.ingest_payload (Federation.shard_hive fed owner) payload)
+              Hive.inject (Federation.shard_hive fed owner) ~slot:0 payload)
             slice;
           (* The compute phase, one shard at a time so the critical path
              (the slowest shard) is measurable on any core count. *)

@@ -17,6 +17,11 @@ type snapshot = {
   quarantined_frames : int;
   pods_muted : int;
   peak_queue_depth : int;
+  (* Admission detail printed only by [Platform.pp_report]'s overload
+     line. *)
+  shed_failures : int;
+  muted_drops : int;
+  pressure_updates : int;
   thinned_uploads : int;
   dead_letters : int;
   (* Wire-plane counters, summed over the pod-side endpoints: what the

@@ -24,6 +24,12 @@ type snapshot = {
   quarantined_frames : int;  (** Poison frames rejected at the hive. *)
   pods_muted : int;  (** Quarantine mute episodes. *)
   peak_queue_depth : int;  (** Ingest-queue high-water mark. *)
+  shed_failures : int;  (** The failure-class part of [shed_uploads]. *)
+  muted_drops : int;  (** Frames dropped unread from muted pods. *)
+  pressure_updates : int;
+      (** Pressure-level broadcasts.  This and the two counters above
+          are data-only in the snapshot: [Platform.pp_report] prints
+          them on its overload line. *)
   thinned_uploads : int;  (** Pod uploads downgraded under pressure. *)
   dead_letters : int;  (** Pod uploads the transport abandoned. *)
   wire_bytes : int;

@@ -184,6 +184,9 @@ let snapshot ~time ~pods ~endpoints topo =
     quarantined_frames = sum_serving (fun h -> h.Hive.quarantined_frames);
     pods_muted = sum_serving (fun h -> h.Hive.pods_muted);
     peak_queue_depth = List.fold_left (fun acc h -> max acc h.Hive.peak_queue_depth) 0 serving;
+    shed_failures = sum_serving (fun h -> h.Hive.shed_failure);
+    muted_drops = sum_serving (fun h -> h.Hive.muted_drops);
+    pressure_updates = sum_serving (fun h -> h.Hive.pressure_updates_sent);
     thinned_uploads = sum (fun m -> m.Pod.thinned_uploads);
     dead_letters = sum (fun m -> m.Pod.dead_letters);
     wire_bytes = sum_wire (fun s -> s.Transport.bytes_on_wire);
@@ -366,18 +369,15 @@ let pp_report fmt report =
             (sum_pod (fun m -> m.Pod.delta_records))
         else "")
    end);
-  (* Printed only when overload protection actually intervened, so an
-     unpressured run's report is byte-identical to one without the
-     overload layer. *)
-  if
-    h.Hive.shed_success + h.Hive.shed_failure + h.Hive.quarantined_frames + h.Hive.pods_muted
-    + h.Hive.peak_queue_depth
-    > 0
-  then
-    Format.fprintf fmt
-      "overload: shed=%d+%d quarantined=%d muted=%d muted-drops=%d pressure-updates=%d peak-queue=%d@."
-      h.Hive.shed_failure h.Hive.shed_success h.Hive.quarantined_frames h.Hive.pods_muted
-      h.Hive.muted_drops h.Hive.pressure_updates_sent h.Hive.peak_queue_depth;
+  (* Admission counters of the pod-facing hives, printed only when
+     admission control actually intervened. *)
+  Metrics.(
+    let f = report.final in
+    if f.shed_uploads + f.quarantined_frames + f.pods_muted + f.peak_queue_depth > 0 then
+      Format.fprintf fmt
+        "overload: shed=%d+%d quarantined=%d muted=%d muted-drops=%d pressure-updates=%d peak-queue=%d@."
+        f.shed_failures (f.shed_uploads - f.shed_failures) f.quarantined_frames f.pods_muted
+        f.muted_drops f.pressure_updates f.peak_queue_depth);
   (* Rollout accounting prints only when staging actually happened, so
      rollout-off runs' reports stay byte-identical to older builds. *)
   (let f = report.final in

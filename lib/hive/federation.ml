@@ -81,6 +81,7 @@ type t = {
   sim : Sim.t;
   config : config;
   map : Shard_map.t;
+  caps : Wire.caps;  (* the shards' admission caps, applied federation-wide *)
   rng : Rng.t;
   shards : shard array;
   merged : Hive.t;
@@ -128,6 +129,14 @@ let stash t payload =
 let create ~config ~sim ~rng () =
   let n = Shard_map.n_shards config.shard_map in
   let shard_config = { config.shard_hive with Hive.synthesize = false } in
+  (* One set of caps decides a frame's fate throughout: the router
+     decodes under the shards' caps, and the merged hive re-admits the
+     shards' canonical payloads under them too. *)
+  let caps = (Hive.admission shard_config).Hive.caps in
+  let merged_config =
+    let merged = Hive.admission config.merged_hive in
+    { config.merged_hive with Hive.overload = Some { merged with Hive.caps } }
+  in
   let uplinks =
     Array.init n (fun _ ->
         Transport.endpoint_pair ~config:config.transport ~sim ~rng:(Rng.split rng) ())
@@ -151,9 +160,10 @@ let create ~config ~sim ~rng () =
       sim;
       config;
       map = config.shard_map;
+      caps;
       rng;
       shards;
-      merged = Hive.create ~config:config.merged_hive ~sim ();
+      merged = Hive.create ~config:merged_config ~sim ();
       downlinks = Array.map snd uplinks;
       inboxes = Array.init n (fun _ -> Hashtbl.create 8);
       next_expected = Array.make n 0;
@@ -197,12 +207,13 @@ let route t a payload =
   let owner =
     match Protocol.decode payload with
     | Ok (Protocol.Trace_upload inner) -> (
-      match Wire.decode inner with
+      match Wire.decode ~caps:t.caps inner with
       | Ok trace -> Shard_map.owner_of_bits t.map trace.Trace.bits
       | Error _ ->
-        (* Malformed inner frame: still deliver it (deterministically,
-           by frame content) so the owning shard's poison quarantine
-           sees it — the router must not silently launder poison. *)
+        (* Malformed or over-cap inner frame: still deliver it
+           (deterministically, by frame content) so the owning shard's
+           poison quarantine sees it — the router must not silently
+           launder poison, nor expand it. *)
         Shard_map.owner_of_digest t.map payload)
     | Ok (Protocol.Sampled_report { program_digest; _ }) ->
       Shard_map.owner_of_digest t.map program_digest
@@ -321,7 +332,7 @@ let commit t =
           List.iter
             (fun payload ->
               incr merged_now;
-              Hive.ingest_payload t.merged payload)
+              Hive.inject t.merged ~slot:0 payload)
             payloads;
           drain ()
       in
@@ -354,36 +365,9 @@ let publish t =
            Array.iter
              (fun s -> Hive.adopt_fixes s.s_hive ~digest ~fixes ~epoch ~retracted)
              t.shards;
-           let deployable = List.filter Fixgen.is_deployable (Knowledge.live_fixes k) in
-           let canary = Knowledge.canary_ids k in
-           let canary_mils = Knowledge.canary_mils k in
-           let payload =
-             if retracted <> prev_retracted then begin
-               t.retracts_sent <- t.retracts_sent + 1;
-               Protocol.encode
-                 (Protocol.Fix_retract
-                    {
-                      program_digest = digest;
-                      epoch;
-                      retracted;
-                      fixes = deployable;
-                      canary;
-                      canary_mils;
-                      pressure = 0;
-                    })
-             end
-             else
-               Protocol.encode
-                 (Protocol.Fix_update
-                    {
-                      program_digest = digest;
-                      epoch;
-                      fixes = deployable;
-                      canary;
-                      canary_mils;
-                      pressure = 0;
-                    })
-           in
+           let retract = retracted <> prev_retracted in
+           if retract then t.retracts_sent <- t.retracts_sent + 1;
+           let payload = Protocol.encode (Hive.fix_message t.merged k ~retract) in
            List.iter (fun a -> Transport.send a.pod_link payload) t.attachments;
            t.fix_updates_sent <- t.fix_updates_sent + 1
          end)

@@ -43,8 +43,13 @@ type config = {
           vehicle for merge-equality properties. *)
   shard_hive : Hive.config;
       (** Per-shard hive configuration.  [synthesize] is forced off;
-          overload protection, pool size, and caps apply per shard. *)
+          overload protection, pool size, and caps apply per shard.
+          Its admission caps also bound the router's decode and the
+          merged hive's. *)
   merged_hive : Hive.config;
+      (** The coordinator's merged hive.  It re-admits the shards'
+          payloads through {!Hive.inject} under the shards' caps,
+          whatever caps this config names. *)
   transport : Transport.config;  (** Applied to every federation link. *)
   pool_size : int;
       (** Worker domains for the cross-shard compute phase (default 1:

@@ -140,9 +140,10 @@ type t = {
   programs : (string, Knowledge.t) Hashtbl.t;
   mutable endpoints : Transport.endpoint list;
   mutable next_guidance_target : int;
-  (* ---- Overload protection (all inert when [config.overload = None]) ----
+  (* ---- Admission control: [config.overload], or instant service ----
      The ingest queue is kept in arrival order, oldest first; bounds are
      small (tens), so O(n) appends and eviction scans are fine. *)
+  admission : overload_config;
   mutable queue : queued list;
   mutable queue_len : int;
   mutable busy_until : float;  (* service clock: when ingestion is free again *)
@@ -212,6 +213,9 @@ type t = {
   mutable ingest_tap : (string -> unit) option;
 }
 
+let admission config =
+  Option.value config.overload ~default:{ default_overload_config with service_interval = 0.0 }
+
 let create ?config ~sim () =
   let config = Option.value ~default:(default_config Full) config in
   {
@@ -220,6 +224,7 @@ let create ?config ~sim () =
     programs = Hashtbl.create 4;
     endpoints = [];
     next_guidance_target = 0;
+    admission = admission config;
     queue = [];
     queue_len = 0;
     busy_until = neg_infinity;
@@ -293,33 +298,25 @@ let broadcast t message =
 let pressure_level t = t.pressure_level
 let queue_length t = t.queue_len
 
-let send_fix_update t k =
-  let deployable = List.filter Fixgen.is_deployable (Knowledge.live_fixes k) in
-  broadcast t
-    (Protocol.Fix_update
-       {
-         program_digest = Knowledge.digest k;
-         epoch = Knowledge.epoch k;
-         fixes = deployable;
-         canary = Knowledge.canary_ids k;
-         canary_mils = Knowledge.canary_mils k;
-         pressure = t.pressure_level;
-       });
-  t.fix_updates_sent <- t.fix_updates_sent + 1
+(* The downstream frame for a program's current fix state: the
+   deployable live fixes, canary staging, and — for a retraction — the
+   retracted ids, stamped with this hive's load level. *)
+let fix_message t k ~retract =
+  let program_digest = Knowledge.digest k in
+  let epoch = Knowledge.epoch k in
+  let fixes = List.filter Fixgen.is_deployable (Knowledge.live_fixes k) in
+  let canary = Knowledge.canary_ids k in
+  let canary_mils = Knowledge.canary_mils k in
+  let pressure = t.pressure_level in
+  if retract then
+    let retracted = Knowledge.retracted_ids k in
+    Protocol.Fix_retract { program_digest; epoch; retracted; fixes; canary; canary_mils; pressure }
+  else Protocol.Fix_update { program_digest; epoch; fixes; canary; canary_mils; pressure }
 
-let send_fix_retract t k =
-  broadcast t
-    (Protocol.Fix_retract
-       {
-         program_digest = Knowledge.digest k;
-         epoch = Knowledge.epoch k;
-         retracted = Knowledge.retracted_ids k;
-         fixes = List.filter Fixgen.is_deployable (Knowledge.live_fixes k);
-         canary = Knowledge.canary_ids k;
-         canary_mils = Knowledge.canary_mils k;
-         pressure = t.pressure_level;
-       });
-  t.retracts_sent <- t.retracts_sent + 1
+let send_fix t k ~retract =
+  broadcast t (fix_message t k ~retract);
+  if retract then t.retracts_sent <- t.retracts_sent + 1
+  else t.fix_updates_sent <- t.fix_updates_sent + 1
 
 (* An externally-decided fix lands exactly as a synthesized one would:
    minted into the knowledge (canary-staged when rollout is attached)
@@ -331,7 +328,7 @@ let inject_fix t ~digest kind =
   | Some k ->
     ignore (Knowledge.add_fix k kind);
     t.fixes_deployed <- t.fixes_deployed + 1;
-    send_fix_update t k
+    send_fix t k ~retract:false
 
 (* ---- Ingestion -------------------------------------------------------- *)
 
@@ -379,25 +376,23 @@ exception Bad_batch
    partial is ingested).  Records decode serially, in order; trace ids
    are minted only once every record has decoded, so a rejected batch
    consumes none. *)
-let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
+let decode_batch t ~program_digest ~basis_id ~basis_check records =
   t.batch_frames_received <- t.batch_frames_received + 1;
+  let caps = t.admission.caps in
   match
     (* Total-budget pre-pass over declared sizes: a batch of records
        that each clear the per-frame bit cap must also jointly clear
        the batch budget, so splitting an attack across records cannot
        smuggle volume past quarantine accounting. *)
-    (match caps with
-    | None -> ()
-    | Some c ->
-      ignore
-        (List.fold_left
-           (fun acc s ->
-             match Wire.declared_bits s with
-             | Error _ -> raise Bad_batch
-             | Ok n ->
-               if n < 0 || n > c.Wire.max_batch_total_bits - acc then raise Bad_batch
-               else acc + n)
-           0 records));
+    ignore
+      (List.fold_left
+         (fun acc s ->
+           match Wire.declared_bits s with
+           | Error _ -> raise Bad_batch
+           | Ok n ->
+             if n < 0 || n > caps.Wire.max_batch_total_bits - acc then raise Bad_batch
+             else acc + n)
+         0 records);
     let basis =
       if basis_id = 0 then None
       else
@@ -406,7 +401,7 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
         | Some _ | None -> raise Bad_batch
     in
     let decode_one ?basis s =
-      match Wire.decode_record ?caps ?basis ~program_digest s with
+      match Wire.decode_record ~caps ?basis ~program_digest s with
       | Error _ -> raise Bad_batch
       | Ok trace -> Trace_store.prepare trace
     in
@@ -435,56 +430,26 @@ let decode_batch t ~caps ~program_digest ~basis_id ~basis_check records =
   | works -> Ok works
   | exception Bad_batch -> Error ()
 
-(* Without overload protection, uploads are processed synchronously in
-   the receive callback — the pre-existing behavior, kept byte-for-byte
-   so seeded runs of existing configs are unperturbed. *)
-let handle_message t payload =
-  t.messages_received <- t.messages_received + 1;
-  match Protocol.decode payload with
-  | Error _ -> ()
-  | Ok (Protocol.Trace_upload payload) -> (
-    match Wire.decode payload with
-    | Error _ -> ()
-    | Ok trace -> process_work t (Trace_work (Trace_store.prepare trace)))
-  | Ok (Protocol.Sampled_report { program_digest; report }) ->
-    process_work t (Sampled_work { program_digest; report })
-  | Ok (Protocol.Batch_upload { program_digest; basis_id; basis_check; records }) -> (
-    match decode_batch t ~caps:None ~program_digest ~basis_id ~basis_check records with
-    | Error () -> ()
-    | Ok works -> List.iter (fun (_failing, work) -> process_work t work) works)
-  | Ok
-      ( Protocol.Fix_update _ | Protocol.Fix_retract _ | Protocol.Guidance_update _
-      | Protocol.Pressure_update _ | Protocol.Shard_map_update _ | Protocol.Knowledge_delta _
-      | Protocol.Frontier_summary _ | Protocol.Basis_update _ ) ->
-    (* Downstream-only and federation-plane messages; ignore if echoed
-       back.  A shard hive never ingests a Knowledge_delta directly —
-       the federation coordinator unpacks deltas itself so commit
-       order stays canonical. *)
-    ()
-
-(* Federation entry points: the merge coordinator commits a shard's
-   delta payloads through the same synchronous path a directly
-   attached pod would take, and a shard exposes its admitted work via
-   the tap. *)
-let ingest_payload = handle_message
+(* Federation entry point: a shard exposes its admitted work via the
+   tap. *)
 let set_ingest_tap t tap = t.ingest_tap <- Some tap
 
-(* ---- Overload protection ---------------------------------------------- *)
+(* ---- Admission control ------------------------------------------------ *)
 
 (* Load level 0–3 from queue occupancy quartiles; broadcast to pods only
    on change, so an unloaded hive (level pinned at 0) sends nothing. *)
-let refresh_pressure t (oc : overload_config) =
-  let level =
-    if t.queue_len = 0 then 0 else min 3 (4 * t.queue_len / max 1 oc.queue_bound)
-  in
+let refresh_pressure t =
+  let bound = t.admission.queue_bound in
+  let level = if t.queue_len = 0 then 0 else min 3 (4 * t.queue_len / max 1 bound) in
   if level <> t.pressure_level then begin
     t.pressure_level <- level;
     t.pressure_updates_sent <- t.pressure_updates_sent + 1;
-    Log.debug (fun m -> m "pressure -> %d (queue %d/%d)" level t.queue_len oc.queue_bound);
+    Log.debug (fun m -> m "pressure -> %d (queue %d/%d)" level t.queue_len bound);
     broadcast t (Protocol.Pressure_update { level })
   end
 
-let quarantine t (oc : overload_config) slot =
+let quarantine t slot =
+  let oc = t.admission in
   t.quarantined_frames <- t.quarantined_frames + 1;
   let count = 1 + Option.value ~default:0 (Hashtbl.find_opt t.quarantine_ledger slot) in
   if count >= oc.quarantine_threshold then begin
@@ -552,10 +517,10 @@ let push_back t item =
 (* Bounded enqueue: at capacity, shed per policy.  [Prefer_failures]
    never sheds a failure-class upload while a success-class one is
    queued — failures carry the debugging signal (paper §3). *)
-let enqueue_or_shed t (oc : overload_config) item =
-  if t.queue_len < oc.queue_bound then push_back t item
+let enqueue_or_shed t item =
+  if t.queue_len < t.admission.queue_bound then push_back t item
   else begin
-    match oc.shed_policy with
+    match t.admission.shed_policy with
     | Drop_newest -> count_shed t item
     | Drop_oldest ->
       count_shed t (remove_at t 0);
@@ -571,7 +536,7 @@ let enqueue_or_shed t (oc : overload_config) item =
         count_shed t item)
   end
 
-let rec drain t (oc : overload_config) () =
+let rec drain t () =
   match t.queue with
   | [] -> t.drain_armed <- false
   | item :: rest ->
@@ -579,91 +544,77 @@ let rec drain t (oc : overload_config) () =
     t.queue_len <- t.queue_len - 1;
     bump_occupancy t item.q_slot (-1);
     process_work t item.q_work;
-    t.busy_until <- Sim.now t.sim +. oc.service_interval;
-    if t.queue_len > 0 then Sim.schedule t.sim ~delay:oc.service_interval (drain t oc)
+    let service = t.admission.service_interval in
+    t.busy_until <- Sim.now t.sim +. service;
+    if t.queue_len > 0 then Sim.schedule t.sim ~delay:service (drain t)
     else t.drain_armed <- false;
-    refresh_pressure t oc
+    refresh_pressure t
 
-let offer t (oc : overload_config) item =
+let offer t ~slot ~failing work =
   let now = Sim.now t.sim in
   if t.queue_len = 0 && now >= t.busy_until then begin
-    (* Uncontended: process synchronously in the receive callback, just
-       like the legacy path — no extra events, no reordering. *)
-    process_work t item.q_work;
-    t.busy_until <- now +. oc.service_interval
+    (* Uncontended: process synchronously in the receive callback — no
+       extra events, no reordering.  With instant service (the default)
+       every upload takes this branch. *)
+    process_work t work;
+    t.busy_until <- now +. t.admission.service_interval
   end
   else begin
-    enqueue_or_shed t oc item;
+    enqueue_or_shed t { q_slot = slot; q_failing = failing; q_work = work };
     if (not t.drain_armed) && t.queue_len > 0 then begin
       t.drain_armed <- true;
-      Sim.schedule t.sim ~delay:(Float.max 0.0 (t.busy_until -. now)) (drain t oc)
+      Sim.schedule t.sim ~delay:(Float.max 0.0 (t.busy_until -. now)) (drain t)
     end;
-    refresh_pressure t oc
+    refresh_pressure t
   end
 
 let muted t slot = Sim.now t.sim < Option.value ~default:neg_infinity (Hashtbl.find_opt t.mute_until slot)
 
-(* The admission-controlled receive path: resource-capped total decode,
-   poison quarantine, mute enforcement, then bounded enqueue. *)
-let admit t (oc : overload_config) slot payload =
+(* The one receive path, for attached pods and transport-less injection
+   alike: resource-capped total decode, poison quarantine, mute
+   enforcement, then bounded enqueue.  [slot] names the pod attachment
+   for fair-share shedding and the quarantine ledger. *)
+let inject t ~slot payload =
   t.messages_received <- t.messages_received + 1;
   if muted t slot then t.muted_drops <- t.muted_drops + 1
   else
-    match Protocol.decode ~caps:oc.caps payload with
-    | Error _ -> quarantine t oc slot
+    let caps = t.admission.caps in
+    match Protocol.decode ~caps payload with
+    | Error _ -> quarantine t slot
     | Ok
         ( Protocol.Fix_update _ | Protocol.Fix_retract _ | Protocol.Guidance_update _
         | Protocol.Pressure_update _ | Protocol.Shard_map_update _
         | Protocol.Knowledge_delta _ | Protocol.Frontier_summary _ | Protocol.Basis_update _
           ) ->
+      (* Downstream-only and federation-plane messages; ignore if echoed
+         back.  A shard never ingests a Knowledge_delta directly — the
+         federation coordinator unpacks deltas itself so commit order
+         stays canonical. *)
       ()
     | Ok (Protocol.Trace_upload inner) -> (
-      match Wire.decode ~caps:oc.caps inner with
-      | Error _ -> quarantine t oc slot
+      match Wire.decode ~caps inner with
+      | Error _ -> quarantine t slot
       | Ok trace ->
-        offer t oc
-          {
-            q_slot = slot;
-            q_failing = Outcome.is_failure trace.Trace.outcome;
-            q_work = Trace_work (Trace_store.prepare trace);
-          })
+        offer t ~slot ~failing:(Outcome.is_failure trace.Trace.outcome)
+          (Trace_work (Trace_store.prepare trace)))
     | Ok (Protocol.Batch_upload { program_digest; basis_id; basis_check; records }) -> (
       (* [Protocol.decode ~caps] already bounded the record count and
          frame size; the batch decode enforces the total bit budget and
          per-record caps.  One bad record poisons the whole batch. *)
-      match decode_batch t ~caps:(Some oc.caps) ~program_digest ~basis_id ~basis_check records with
-      | Error () -> quarantine t oc slot
+      match decode_batch t ~program_digest ~basis_id ~basis_check records with
+      | Error () -> quarantine t slot
       | Ok works ->
-        List.iter
-          (fun (failing, work) ->
-            offer t oc { q_slot = slot; q_failing = failing; q_work = work })
-          works)
+        List.iter (fun (failing, work) -> offer t ~slot ~failing work) works)
     | Ok (Protocol.Sampled_report { program_digest; report }) ->
-      offer t oc
-        {
-          q_slot = slot;
-          q_failing = Outcome.is_failure report.Softborg_trace.Sampling.outcome;
-          q_work = Sampled_work { program_digest; report };
-        }
+      offer t ~slot
+        ~failing:(Outcome.is_failure report.Softborg_trace.Sampling.outcome)
+        (Sampled_work { program_digest; report })
 
 let attach_pod t endpoint =
   t.endpoints <- endpoint :: t.endpoints;
-  match t.config.overload with
-  | None -> Transport.on_receive endpoint (handle_message t)
-  | Some oc ->
-    let slot = t.next_slot in
-    t.next_slot <- slot + 1;
-    Transport.on_receive endpoint (admit t oc slot)
-
-(* Transport-less injection for load harnesses: one encoded frame
-   enters exactly the receive path an attached pod's frame would — the
-   admission-controlled one when overload protection is on.  [slot]
-   plays the role of the pod attachment slot for fair-share shedding
-   and quarantine accounting. *)
-let inject t ~slot payload =
-  match t.config.overload with
-  | None -> handle_message t payload
-  | Some oc -> admit t oc slot payload
+  let slot = t.next_slot in
+  t.next_slot <- slot + 1;
+  Transport.on_receive endpoint (inject t ~slot)
 
 (* ---- Basis announcements ----------------------------------------------- *)
 
@@ -706,17 +657,11 @@ let schedule_human_fix t k bucket_key kind =
     Log.info (fun m ->
         m "human fix for %s scheduled at t=%.0f (+%.0f)" bucket_key (Sim.now t.sim)
           (human_delay t));
-    (* The closure re-fetches the knowledge by digest at fire time: a
+    (* [inject_fix] re-fetches the knowledge by digest at fire time: a
        checkpoint restore replaces the knowledge object, and the fix
        must land on whichever one is current. *)
     let digest = Knowledge.digest k in
-    Sim.schedule t.sim ~delay:(human_delay t) (fun () ->
-        match Hashtbl.find_opt t.programs digest with
-        | None -> ()
-        | Some k ->
-          ignore (Knowledge.add_fix k kind);
-          t.fixes_deployed <- t.fixes_deployed + 1;
-          send_fix_update t k)
+    Sim.schedule t.sim ~delay:(human_delay t) (fun () -> inject_fix t ~digest kind)
   end
 
 let human_tick t k =
@@ -932,13 +877,13 @@ let tick t =
           (* One downstream push per verdict batch: a retraction frame
              already carries the surviving fix set, so promotion in the
              same tick rides along. *)
-          if condemned <> [] then send_fix_retract t k
-          else if promoted <> [] then send_fix_update t k;
+          if condemned <> [] then send_fix t k ~retract:true
+          else if promoted <> [] then send_fix t k ~retract:false;
           let new_fixes = Knowledge.analyze ?symexec_config:t.config.symexec_config k in
           let deployable = List.filter Fixgen.is_deployable new_fixes in
           if deployable <> [] then begin
             t.fixes_deployed <- t.fixes_deployed + List.length deployable;
-            send_fix_update t k
+            send_fix t k ~retract:false
           end
         end;
         (* Guidance and proofs involve symbolic exploration: only

@@ -76,11 +76,11 @@ type config = {
           analysis output — only wall-clock time changes.  [Allocate]'s
           portfolio weights split these workers across programs. *)
   overload : overload_config option;
-      (** [None] (the default) keeps the legacy unbounded synchronous
-          ingest path, byte-identical to builds without overload
-          protection.  [Some _] enables admission control, bounded
-          queueing with shedding, pod backpressure signalling, and
-          poison-trace quarantine. *)
+      (** How {!inject} admits frames: capped decode, poison quarantine
+          and muting, then bounded queueing with shedding and pod
+          backpressure.  [None] (the default) is instant service —
+          {!default_overload_config} with a zero [service_interval]: the
+          queue never forms and each upload is ingested on arrival. *)
   synthesize : bool;
       (** [true] (the default) lets the analysis tick propose and
           deploy fixes.  Federation shards run with [false]: fix ids
@@ -101,6 +101,11 @@ type config = {
 }
 
 val default_config : mode -> config
+
+val admission : config -> overload_config
+(** The admission a hive built from this config runs: [overload], or
+    for [None] instant service ({!default_overload_config} with a zero
+    [service_interval]). *)
 
 type stats = {
   traces_received : int;
@@ -153,10 +158,12 @@ val inject_fix : t -> digest:string -> Fixgen.kind -> unit
     config is attached — and broadcast downstream.  The chaos
     harness's bad-fix saboteur enters here. *)
 
-val ingest_payload : t -> string -> unit
-(** Process one encoded protocol frame synchronously, exactly as the
-    legacy receive path would — the federation coordinator commits
-    shard delta payloads through this. *)
+val fix_message : t -> Knowledge.t -> retract:bool -> Protocol.message
+(** The downstream frame for a program's current fix state: its
+    deployable live fixes, canary staging and this hive's
+    {!pressure_level}, as a {!Protocol.Fix_update} or, with
+    [~retract:true], a {!Protocol.Fix_retract} with the retracted ids.
+    The federation coordinator publishes the merged hive's frames. *)
 
 val set_ingest_tap : t -> (string -> unit) -> unit
 (** Observe the canonical re-encoding of every upload this hive
@@ -165,17 +172,17 @@ val set_ingest_tap : t -> (string -> unit) -> unit
     previous flush. *)
 
 val attach_pod : t -> Transport.endpoint -> unit
-(** Wire up the hive side of one pod's connection.  With overload
-    protection enabled, each attachment gets a slot in the quarantine
-    ledger and fair-share accounting. *)
+(** Wire up the hive side of one pod's connection: its frames enter
+    {!inject} under a slot of their own, numbered from 0 in attach
+    order. *)
 
 val inject : t -> slot:int -> string -> unit
-(** Feed one encoded protocol frame through the real receive path
-    without a transport — the admission-controlled path when overload
-    protection is on, the legacy synchronous path otherwise.  [slot]
-    stands in for the pod attachment slot (fair-share shedding,
-    quarantine ledger).  Load harnesses use this to simulate fleets
-    far larger than the endpoint table. *)
+(** Admit one encoded protocol frame: the hive's only receive path.
+    A malformed or over-cap frame is quarantined against [slot] (the
+    pod attachment slot, also used for fair-share shedding); an upload
+    is ingested at once or queued, per [config.overload].  Load
+    harnesses inject many slots without transports; the federation
+    coordinator commits shard deltas into its merged hive at slot 0. *)
 
 val announce_bases : t -> unit
 (** Broadcast a {!Protocol.Basis_update} for every program that has a
@@ -184,11 +191,11 @@ val announce_bases : t -> unit
     tests and benches can force announcement deterministically). *)
 
 val pressure_level : t -> int
-(** Current load level (0–3; always 0 without overload protection). *)
+(** Current load level (0–3; always 0 under instant service). *)
 
 val queue_length : t -> int
-(** Uploads admitted but not yet ingested (always 0 without overload
-    protection). *)
+(** Uploads admitted but not yet ingested (always 0 under instant
+    service). *)
 
 val start : t -> unit
 (** Schedule the periodic analysis tick on the simulator. *)

@@ -1,4 +1,5 @@
 module Rng = Softborg_util.Rng
+module Bitvec = Softborg_util.Bitvec
 module Ir = Softborg_prog.Ir
 module Env = Softborg_exec.Env
 module Sched = Softborg_exec.Sched
@@ -130,6 +131,7 @@ type t = {
      immediate), or when the linger timer fires.  [basis] is the last
      hive-announced prefix basis for this program. *)
   mutable batch : Trace.t list;
+  mutable batch_bits : int;  (* branch bits across [batch] *)
   mutable batch_armed : bool;  (* linger timer pending *)
   mutable basis : (int * int * Trace.t) option;  (* id, fingerprint, trace *)
   mutable batches_sent : int;
@@ -232,6 +234,7 @@ let create ?(config = default_config) ~cohort ~sim ~rng ~program ~endpoint () =
       deferred_uploads = 0;
       dead_letters = 0;
       batch = [];
+      batch_bits = 0;
       batch_armed = false;
       basis = None;
       batches_sent = 0;
@@ -293,34 +296,47 @@ let send_deferred t payload =
    fingerprint rides along so the hive can detect a stale basis);
    otherwise the first record anchors the rest.  [encode_record] falls
    back to full encoding whenever the delta would be larger, so a
-   batch is never bigger than the sum of its full frames. *)
+   batch is never bigger than the sum of its full frames.  A frame over
+   the hive's default byte cap goes out as two halves instead, so an
+   honest batch is never quarantined as poison. *)
 let flush_batch t ~immediate =
-  match List.rev t.batch with
-  | [] -> ()
-  | first :: rest as traces ->
-    t.batch <- [];
-    let basis_id, basis_check, records =
-      match (t.config.delta_encode, t.basis) with
-      | true, Some (id, check, basis) ->
-        (id, check, List.map (fun tr -> Wire.encode_record ~basis tr) traces)
-      | true, None ->
-        ( 0,
-          0,
-          Wire.encode_record first
-          :: List.map (fun tr -> Wire.encode_record ~basis:first tr) rest )
-      | false, _ -> (0, 0, List.map (fun tr -> Wire.encode_record tr) traces)
-    in
-    List.iter
-      (fun r ->
-        if String.length r > 0 && r.[0] = '\x01' then
-          t.delta_records <- t.delta_records + 1)
-      records;
-    t.batches_sent <- t.batches_sent + 1;
-    let payload =
-      Protocol.encode
-        (Protocol.Batch_upload { program_digest = t.digest; basis_id; basis_check; records })
-    in
-    if immediate then Transport.send t.endpoint payload else send_deferred t payload
+  let rec send = function
+    | [] -> ()
+    | first :: rest as traces ->
+      let basis_id, basis_check, records =
+        match (t.config.delta_encode, t.basis) with
+        | true, Some (id, check, basis) ->
+          (id, check, List.map (fun tr -> Wire.encode_record ~basis tr) traces)
+        | true, None ->
+          ( 0,
+            0,
+            Wire.encode_record first
+            :: List.map (fun tr -> Wire.encode_record ~basis:first tr) rest )
+        | false, _ -> (0, 0, List.map (fun tr -> Wire.encode_record tr) traces)
+      in
+      let payload =
+        Protocol.encode
+          (Protocol.Batch_upload { program_digest = t.digest; basis_id; basis_check; records })
+      in
+      if String.length payload > Wire.default_caps.Wire.max_message_bytes && rest <> [] then begin
+        let half = List.length traces / 2 in
+        send (List.filteri (fun i _ -> i < half) traces);
+        send (List.filteri (fun i _ -> i >= half) traces)
+      end
+      else begin
+        List.iter
+          (fun r ->
+            if String.length r > 0 && r.[0] = '\x01' then
+              t.delta_records <- t.delta_records + 1)
+          records;
+        t.batches_sent <- t.batches_sent + 1;
+        if immediate then Transport.send t.endpoint payload else send_deferred t payload
+      end
+  in
+  let traces = List.rev t.batch in
+  t.batch <- [];
+  t.batch_bits <- 0;
+  send traces
 
 let upload t (result : Interp.result) ~label ?attribution () =
   let trace =
@@ -334,12 +350,22 @@ let upload t (result : Interp.result) ~label ?attribution () =
     (* Batched path: the scrubbed trace joins the batch; the batch
        flushes when full, immediately when a failure joins it, or when
        the linger timer fires — a trickle of traces is never held for
-       long.  An immediate flush carries any queued successes along. *)
+       long.  An immediate flush carries any queued successes along.
+       "Full" also means the hive's default admission caps: at most
+       [max_batch_records] records, and a trace that would push the
+       batch past [max_batch_total_bits] (a record declares its trace's
+       bit count, full or delta) first flushes the batch without it. *)
     let enqueue ~immediate =
       let scrubbed = Anonymize.apply t.config.anonymize trace in
+      let caps = Wire.default_caps in
+      let bits = Bitvec.length scrubbed.Trace.bits in
+      if t.batch_bits + bits > caps.Wire.max_batch_total_bits then flush_batch t ~immediate;
       t.batch <- scrubbed :: t.batch;
-      if immediate || List.length t.batch >= t.config.upload_batch then
-        flush_batch t ~immediate
+      t.batch_bits <- t.batch_bits + bits;
+      if
+        immediate
+        || List.length t.batch >= min t.config.upload_batch caps.Wire.max_batch_records
+      then flush_batch t ~immediate
       else if not t.batch_armed then begin
         t.batch_armed <- true;
         Sim.schedule t.sim ~delay:t.config.batch_linger (fun () ->

@@ -47,7 +47,12 @@ type config = {
           default 1 keeps the legacy one-frame-per-trace path
           byte-for-byte unperturbed; [> 1] accumulates success-class
           traces and flushes when full, when a failure joins the batch
-          (failures are immediate), or after [batch_linger]. *)
+          (failures are immediate), or after [batch_linger].  Frames
+          stay within {!Softborg_trace.Wire.default_caps}, the hive's
+          default admission caps: a batch also flushes at
+          [max_batch_records] records or before a trace would push it
+          past [max_batch_total_bits], and a frame over
+          [max_message_bytes] goes out as two halves. *)
   delta_encode : bool;
       (** Delta-encode batch records against the hive-announced prefix
           basis (or, without one, against the batch's own first

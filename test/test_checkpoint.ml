@@ -325,7 +325,7 @@ let prop_shard_checkpoint_roundtrip =
           (* Admit a payload directly into a random shard: the ingest
              tap buffers its canonical form for the next delta. *)
           let payload = shard_upload_pool.(Rng.int rng (Array.length shard_upload_pool)) in
-          Hive.ingest_payload (Federation.shard_hive fed (Rng.int rng n_shards)) payload
+          Hive.inject (Federation.shard_hive fed (Rng.int rng n_shards)) ~slot:0 payload
         | 2 ->
           (* Advance the delta exchange so seq counters move. *)
           Federation.flush fed;
@@ -451,7 +451,7 @@ let test_retraction_survives_crash_restore () =
            [ upload ~pod:1 ~active:[ fix_id ] ~hook_fires:1;
              upload ~pod:2 ~active:[] ~hook_fires:0 ]))
   in
-  List.iter (Hive.ingest_payload hive) frames;
+  List.iter (Hive.inject hive ~slot:0) frames;
   Hive.tick hive;
   checki "retraction decided" 1 (Hive.stats hive).Hive.fix_retractions;
   checki "retract broadcast counted" 1 (Hive.stats hive).Hive.retracts_sent;
@@ -468,7 +468,7 @@ let test_retraction_survives_crash_restore () =
   let k = Option.get (Hive.knowledge hive ~digest) in
   Alcotest.(check (list int)) "rolled back to canary" [ fix_id ] (Knowledge.canary_ids k);
   checki "ledger rolled back" 0 (List.length (Knowledge.retracted_ids k));
-  List.iter (Hive.ingest_payload hive) frames;
+  List.iter (Hive.inject hive ~slot:0) frames;
   Hive.tick hive;
   Alcotest.(check (list int)) "retracted again" [ fix_id ]
     (Knowledge.retracted_ids (Option.get (Hive.knowledge hive ~digest)));

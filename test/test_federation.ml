@@ -122,7 +122,7 @@ let oracle_bytes uploads =
   let hive = Hive.create ~config ~sim () in
   ignore (Hive.register_program hive Corpus.parser);
   ignore (Hive.register_program hive Corpus.fig2_write);
-  List.iter (Hive.ingest_payload hive) uploads;
+  List.iter (Hive.inject hive ~slot:0) uploads;
   (hive, Hive.checkpoint hive)
 
 let sorted_knowledge hive =
@@ -584,6 +584,69 @@ let test_shard_map_update_on_the_wire () =
   | Ok _ -> Alcotest.fail "decoded to the wrong constructor"
   | Error e -> Alcotest.failf "decode failed: %s" e
 
+(* ---- Router ------------------------------------------------------------- *)
+
+(* A few dozen bytes of RLE declaring 2^24 branch bits: decoding it
+   uncapped materializes megabytes.  The router must route it without
+   expanding it, and the owning shard must quarantine it. *)
+let test_router_decodes_capped () =
+  let sim, rng, fed = make_fed ~n_shards:2 ~seed:3 () in
+  let pod = List.hd (attach_pods sim rng fed 1) in
+  let trace =
+    Trace.of_result ~program_digest:(Ir.digest Corpus.parser) ~pod:1 ~fix_epoch:0
+      (run_once Corpus.parser [| 1; 2; 3 |])
+  in
+  let bits = Bitvec.create () in
+  for _ = 1 to 1 lsl 24 do
+    Bitvec.push bits false
+  done;
+  let bomb = Protocol.encode (Protocol.Trace_upload (Wire.encode { trace with Trace.bits })) in
+  checkb "the bomb is small on the wire" true (String.length bomb < 1024);
+  let before = Gc.allocated_bytes () in
+  Transport.send pod bomb;
+  Sim.run sim;
+  let allocated = Gc.allocated_bytes () -. before in
+  let shards = (Federation.stats fed).Federation.per_shard in
+  let quarantined =
+    List.map (fun s -> s.Federation.hive_stats.Hive.quarantined_frames) shards
+  in
+  Alcotest.(check (list int)) "exactly one shard quarantined it" [ 1 ]
+    (List.filter (fun n -> n > 0) quarantined);
+  checki "one frame quarantined in all" 1 (List.fold_left ( + ) 0 quarantined);
+  List.iter
+    (fun s -> checki "no shard ingested it" 0 s.Federation.hive_stats.Hive.traces_received)
+    shards;
+  checkb (Printf.sprintf "routing allocated %.0f bytes (< 1 MB)" allocated) true
+    (allocated < 1_048_576.0)
+
+(* One set of caps per federation: the merged hive re-admits the
+   shards' canonical payloads under the shards' caps, whatever its own
+   config names — else it would quarantine what the shards admitted
+   and, after a few payloads, mute the coordinator's own slot. *)
+let test_merged_hive_uses_shard_caps () =
+  let sim = Sim.create () in
+  let rng = Rng.create 5 in
+  let base = fed_config ~n_shards:2 () in
+  let merged_hive = base.Federation.merged_hive in
+  let tight =
+    {
+      (Hive.admission merged_hive) with
+      Hive.caps = { Wire.default_caps with Wire.max_branch_bits = 1 };
+    }
+  in
+  let config =
+    { base with Federation.merged_hive = { merged_hive with Hive.overload = Some tight } }
+  in
+  let fed = Federation.create ~config ~sim ~rng () in
+  ignore (Federation.register_program fed Corpus.parser);
+  let pod = List.hd (attach_pods sim rng fed 1) in
+  List.iter (Transport.send pod) (List.init 8 (fun i -> upload_pool.(i)));
+  Sim.run sim;
+  settle sim fed;
+  let merged = Hive.stats (Federation.merged fed) in
+  checki "merged hive ingested every upload" 8 merged.Hive.traces_received;
+  checki "merged hive quarantined none" 0 merged.Hive.quarantined_frames
+
 (* ---- Platform-level determinism ----------------------------------------- *)
 
 let report_bytes config =
@@ -639,6 +702,12 @@ let () =
           Alcotest.test_case "coverage" `Quick test_shard_map_covers_all_shards;
           Alcotest.test_case "codec" `Quick test_shard_map_codec;
           Alcotest.test_case "protocol frame" `Quick test_shard_map_update_on_the_wire;
+        ] );
+      ( "router",
+        [
+          Alcotest.test_case "decodes capped" `Quick test_router_decodes_capped;
+          Alcotest.test_case "merged hive uses shard caps" `Quick
+            test_merged_hive_uses_shard_caps;
         ] );
       ( "platform",
         [

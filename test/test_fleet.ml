@@ -450,7 +450,7 @@ let test_batch_total_bits_budget () =
 (* ---- Pod-side batching over the wire ------------------------------------ *)
 
 let fleet_sim ?(pod_config = Pod.default_config) ?(announce = false)
-    ?(program = Corpus.parser) () =
+    ?(workload = Workload.Uniform_inputs { lo = 0; hi = 40 }) ?(program = Corpus.parser) () =
   let sim = Sim.create () in
   let hive_config =
     { (Hive.default_config Hive.Full) with Hive.announce_basis = announce }
@@ -462,7 +462,7 @@ let fleet_sim ?(pod_config = Pod.default_config) ?(announce = false)
   let config =
     {
       pod_config with
-      Pod.workload = Workload.Uniform_inputs { lo = 0; hi = 40 };
+      Pod.workload = workload;
       fault_probability = 0.0;
     }
   in
@@ -546,6 +546,61 @@ let test_dead_batch_counts_every_record () =
   checki "one batch flushed" 1 m.Pod.batches_sent;
   checki "all four traces dead-lettered" 4 m.Pod.dead_letters
 
+(* A default-config hive admits under [Wire.default_caps], so a pod
+   must never build a batch frame those caps reject: an honest batch
+   quarantined as poison loses every trace it carried and, after a few
+   frames, mutes the pod.  Batches above the record cap split. *)
+let test_pod_batch_respects_record_cap () =
+  let pod_config =
+    { Pod.default_config with Pod.upload_batch = 300; batch_linger = 1000.0 }
+  in
+  let sim, hive, pod = fleet_sim ~pod_config () in
+  for _ = 1 to 300 do
+    Pod.run_session pod
+  done;
+  Sim.run sim;
+  let m = Pod.metrics pod in
+  let s = Hive.stats hive in
+  checki "split at the record cap" 2 m.Pod.batches_sent;
+  checki "nothing quarantined" 0 s.Hive.quarantined_frames;
+  checki "every trace ingested" 300 s.Hive.traces_received
+
+(* Long traces: each run loops [n] times, optionally through a
+   syscall, so a full batch of them passes the total-bit budget or —
+   with the syscall log — the frame byte cap.  The pod flushes before
+   the bit budget and halves a frame over the byte cap; the hive
+   ingests everything. *)
+let long_loop_batches ~n ~syscalls =
+  let open Softborg_prog.Build in
+  let open Softborg_prog.Build.Infix in
+  let step = assign (lvar "n") (local "n" -: const 1) in
+  let body = if syscalls then [ syscall Ir.Sys_write (lvar "w"); step ] else [ step ] in
+  let program =
+    program ~name:"long-loop" ~n_inputs:1
+      [ [ assign (lvar "n") (input 0); while_ (local "n" >: const 0) body ] ]
+  in
+  let pod_config =
+    { Pod.default_config with Pod.upload_batch = 256; batch_linger = 1000.0 }
+  in
+  let workload = Workload.Uniform_inputs { lo = n; hi = n } in
+  let sim, hive, pod = fleet_sim ~pod_config ~workload ~program () in
+  for _ = 1 to 256 do
+    Pod.run_session pod
+  done;
+  Sim.run sim;
+  let s = Hive.stats hive in
+  checki "nothing quarantined" 0 s.Hive.quarantined_frames;
+  checki "every trace ingested" 256 s.Hive.traces_received;
+  (Pod.metrics pod).Pod.batches_sent
+
+let test_pod_batch_respects_bit_cap () =
+  (* 4,501 bits a trace: 232 fit in 2^20. *)
+  checki "flushed before the bit budget" 2 (long_loop_batches ~n:4500 ~syscalls:false)
+
+let test_pod_batch_respects_byte_cap () =
+  (* ~9 KB a trace: 256 make ~2.3 MB, split in halves to ~575 KB. *)
+  checki "halved below the byte cap" 4 (long_loop_batches ~n:3000 ~syscalls:true)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -581,5 +636,9 @@ let () =
             test_pod_default_config_sends_singles;
           Alcotest.test_case "dead batch counts records" `Quick
             test_dead_batch_counts_every_record;
+          Alcotest.test_case "batch respects record cap" `Quick
+            test_pod_batch_respects_record_cap;
+          Alcotest.test_case "batch respects bit cap" `Quick test_pod_batch_respects_bit_cap;
+          Alcotest.test_case "batch respects byte cap" `Quick test_pod_batch_respects_byte_cap;
         ] );
     ]

@@ -44,6 +44,9 @@ let snap ~time ~sessions ~failures =
     quarantined_frames = 0;
     pods_muted = 0;
     peak_queue_depth = 0;
+    shed_failures = 0;
+    muted_drops = 0;
+    pressure_updates = 0;
     thinned_uploads = 0;
     dead_letters = 0;
     wire_bytes = 0;
@@ -386,6 +389,33 @@ let test_platform_chaos_across_shards () =
       checki (Printf.sprintf "%d shards: checkpoints" n) (n * checkpoints1) checkpoints)
     [ 2; 3 ]
 
+let test_platform_sharded_overload_line () =
+  (* In a sharded run the pods' traffic is admitted by the shards, not
+     by the coordinator: the report's overload line must sum the
+     shards' admission counters, with the peak queue the fleet total
+     the final snapshot records. *)
+  let overload =
+    { Hive.default_overload_config with Hive.queue_bound = 32; service_interval = 0.2 }
+  in
+  let config =
+    Scenario.with_shards 2
+      (Scenario.overload_spike ~spike_pods:12 ~spike_start:30.0 ~spike_end:75.0
+         (Scenario.with_overload ~overload (quick_config Corpus.parser)))
+  in
+  let report = Platform.run config in
+  let peak = report.Platform.final.Metrics.peak_queue_depth in
+  checkb "the spike built a shard queue" true (peak > 0);
+  let overload_line =
+    Format.asprintf "%a" Platform.pp_report report
+    |> String.split_on_char '\n'
+    |> List.find_opt (String.starts_with ~prefix:"overload:")
+  in
+  match overload_line with
+  | None -> Alcotest.fail "sharded report has no overload line"
+  | Some line ->
+    checkb "peak-queue is the shards' peak" true
+      (String.ends_with ~suffix:(Printf.sprintf " peak-queue=%d" peak) line)
+
 let () =
   Alcotest.run "softborg_platform"
     [
@@ -407,6 +437,7 @@ let () =
           Alcotest.test_case "guided fix first" `Quick test_platform_guided_fix_before_user_failure;
           Alcotest.test_case "duplicating network" `Quick test_platform_duplicating_network_no_double_count;
           Alcotest.test_case "repeat runs identical" `Quick test_platform_repeat_runs_identical;
+          Alcotest.test_case "sharded overload line" `Quick test_platform_sharded_overload_line;
         ] );
       ( "chaos",
         [
