@@ -417,7 +417,7 @@ let prove_cmd =
     Format.printf "evidence: %d executions, %d distinct paths, completeness %.2f@." executions
       (Exec_tree.n_distinct_paths (Knowledge.tree k))
       (Exec_tree.completeness (Knowledge.tree k));
-    let closed = Prover.close_gaps program (Knowledge.tree k) in
+    let closed = Prover.close_gaps ~memo:(Knowledge.gap_memo k) program (Knowledge.tree k) in
     Format.printf "symbolic closure: %d gaps proven infeasible (completeness now %.2f)@." closed
       (Exec_tree.completeness (Knowledge.tree k));
     let crash_observations =
@@ -426,8 +426,8 @@ let prove_cmd =
         0 (Knowledge.crash_evidence k)
     in
     (match
-       Prover.attempt_assert_safety ~program ~tree:(Knowledge.tree k) ~crash_observations
-         ~epoch:0 ()
+       Prover.attempt_assert_safety ~memo:(Knowledge.gap_memo k) ~program
+         ~tree:(Knowledge.tree k) ~crash_observations ~epoch:0 ()
      with
     | Some proof -> Format.printf "assert-safety:    %a@." Prover.pp proof
     | None -> Format.printf "assert-safety:    no proof (crashes observed or feasible)@.");

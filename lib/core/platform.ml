@@ -104,7 +104,7 @@ let single_hive config ~sim =
     checkpoint_shard = (fun _ -> Hive.checkpoint hive);
     restore_shard = (fun _ data -> ignore (Hive.restore hive data));
     start = (fun () -> Hive.start hive);
-    (* Joins the gap-solver worker domains (no-op with pool_size 1). *)
+    (* Joins the exploration-table worker domains (no-op with pool_size 1). *)
     shutdown = (fun () -> Hive.shutdown hive);
     federation = (fun () -> None);
   }

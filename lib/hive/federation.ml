@@ -269,11 +269,13 @@ let compute_phase t =
   in
   let close ((key, k) : (int * string) * Knowledge.t) =
     let shard, digest = key in
-    (* Each shard closes only the verdicts it owns (see
+    (* Each shard explores a program once (its knowledge's gap memo
+       keeps the table for good) and reads every verdict from that
+       table.  Ownership still partitions which gaps a shard marks (see
        {!Shard_map.owner_of_verdict}): a gap verdict is keyed by
        (site, direction), not by the prefix it appears under, and hot
-       sites recur in every shard's subtree — per-verdict ownership is
-       what partitions the solver work instead of replicating it. *)
+       sites recur in every shard's subtree, so each verdict is looked
+       up and marked on exactly one shard. *)
     let owned (gap : Exec_tree.gap) =
       Shard_map.owner_of_verdict t.map ~program:digest
         ~thread:gap.Exec_tree.site.Ir.thread ~pc:gap.Exec_tree.site.Ir.pc

@@ -93,10 +93,9 @@ let input_only_condition ~n_inputs condition =
 
 (* Find a feasible symbolic crash path matching the evidence, to derive
    an input guard from its path condition. *)
-let guard_condition ?symexec_config ~program evidence =
+let guard_condition ~program ~report evidence =
   if Array.length program.Ir.threads > 1 then None
   else
-    let report = Sym_exec.explore ?config:symexec_config program Consistency.Strict in
     List.find_map
       (fun (p : Sym_exec.path) ->
         match (p.Sym_exec.outcome, p.Sym_exec.solver_verdict) with
@@ -106,9 +105,14 @@ let guard_condition ?symexec_config ~program evidence =
             Some p.Sym_exec.condition
           else None
         | _ -> None)
-      report.Sym_exec.paths
+      (Lazy.force report).Sym_exec.paths
 
-let propose ?symexec_config ~program ~deadlock_patterns ~crashes ~existing ~next_epoch () =
+let propose ?report ~program ~deadlock_patterns ~crashes ~existing ~next_epoch () =
+  let report =
+    match report with
+    | Some report -> report
+    | None -> lazy (Sym_exec.explore program Consistency.Strict)
+  in
   let fixes = ref [] in
   let next_id = ref (next_id_over existing) in
   let emit kind =
@@ -124,7 +128,7 @@ let propose ?symexec_config ~program ~deadlock_patterns ~crashes ~existing ~next
   List.iter
     (fun evidence ->
       if not (covers_bucket existing evidence.bucket) then begin
-        (match guard_condition ?symexec_config ~program evidence with
+        (match guard_condition ~program ~report evidence with
         | Some condition ->
           emit
             (Input_guard

@@ -55,7 +55,7 @@ type crash_evidence = {
 }
 
 val propose :
-  ?symexec_config:Sym_exec.config ->
+  ?report:Sym_exec.report Lazy.t ->
   program:Ir.t ->
   deadlock_patterns:int list list ->
   crashes:crash_evidence list ->
@@ -66,7 +66,10 @@ val propose :
 (** Synthesize fixes for evidence not yet covered by [existing] ones.
     Each crash bucket yields one deployable fix (an input guard when
     the bucket's path condition is input-only, otherwise a crash
-    suppression) plus one repair-lab patch candidate. *)
+    suppression) plus one repair-lab patch candidate.  Input guards
+    are read off the program's [Strict] exploration [report], forced
+    only when a single-threaded program has an uncovered bucket; by
+    default it is {!Sym_exec.explore}'s. *)
 
 module Interp := Softborg_exec.Interp
 

@@ -1,21 +1,24 @@
-(** Memoized symbolic gap verdicts.
+(** Symbolic gap verdicts, answered from one exploration per program.
 
-    [Sym_exec.direction_feasible] is a pure function of the program,
-    the target [(site, direction)] and the symexec configuration — it
-    does not depend on which tree node exposed the gap.  The hive asks
-    the same questions every tick (guidance planning and gap closing
-    both walk the frontier), so one per-knowledge table keyed by
-    [(site, direction)] removes all repeat solving.
+    Whether a branch direction is reachable is a pure function of the
+    program and the symexec configuration: it does not depend on which
+    tree node exposed the gap, nor on the deployed fix set (fixes are
+    runtime hooks; the analyzed program never changes).  So a memo
+    explores its program once per configuration
+    ({!Sym_exec.explore_table}, built lazily on first use) and answers
+    every gap verdict, input-guard search and assert-safety check from
+    that table for the life of the knowledge base — it is never
+    cleared.  A pair table in front of it remembers each verdict
+    handed out and counts hits and misses.
 
-    The cache is semantics-transparent as long as it is cleared
-    whenever the program's analyzed behavior could change — i.e. on
-    every fix-epoch bump ({!Knowledge} wires this up) — and as long as
-    all users of one table pass the same symexec configuration (the
-    hive uses [config.symexec_config] for both planner and prover).
-    Like the replay cache, it is a pure accelerator: never serialized
-    into checkpoints, restarts cold. *)
+    One memo serves one program; the planner, the prover and fix
+    synthesis share it, each passing the same symexec configuration
+    (the hive's [config.symexec_config]).  Like the replay cache it is
+    a pure accelerator: never serialized into checkpoints, restarts
+    cold. *)
 
 module Ir := Softborg_prog.Ir
+module Sym_exec := Softborg_symexec.Sym_exec
 module Testgen := Softborg_symexec.Testgen
 
 type verdict =
@@ -23,22 +26,32 @@ type verdict =
   | `Infeasible
   | `Unknown
   ]
-(** Exactly {!Testgen.for_direction}'s result, so the planner can
-    reuse entries the prover created and vice versa. *)
+(** Exactly {!Testgen.for_direction}'s result. *)
 
 type t
 
 val create : unit -> t
 
-val find : t -> site:Ir.site -> direction:bool -> verdict option
-(** Cached verdict, if any; updates the hit/miss counters. *)
+val verdict :
+  t ->
+  ?config:Sym_exec.config ->
+  ?cache:Softborg_solver.Verdict_cache.t ->
+  Ir.t ->
+  site:Ir.site ->
+  direction:bool ->
+  verdict
+(** The verdict {!Testgen.for_direction} would return, read from the
+    pair table (a hit) or else from the program's exploration table (a
+    miss, remembered).  [cache] is handed to the exploration when it is
+    built. *)
 
-val mem : t -> site:Ir.site -> direction:bool -> bool
-(** Membership without touching the counters (used when sizing a
-    speculative parallel batch). *)
+val report :
+  t -> ?config:Sym_exec.config -> ?cache:Softborg_solver.Verdict_cache.t -> Ir.t -> Sym_exec.report
+(** The program's [Strict] {!Sym_exec.explore} report, from the same
+    table; leaves the hit/miss counters alone. *)
 
 val add : t -> site:Ir.site -> direction:bool -> verdict -> unit
-val clear : t -> unit
+(** Prefill the pair table; {!verdict} then returns this entry. *)
 
 val length : t -> int
 val hits : t -> int

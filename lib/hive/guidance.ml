@@ -1,9 +1,7 @@
 module Ir = Softborg_prog.Ir
 module Codec = Softborg_util.Codec
-module Pool = Softborg_util.Pool
 module Env = Softborg_exec.Env
 module Exec_tree = Softborg_tree.Exec_tree
-module Sym_exec = Softborg_symexec.Sym_exec
 module Testgen = Softborg_symexec.Testgen
 
 type directive =
@@ -39,13 +37,13 @@ type plan_result = {
 }
 
 let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 202; 303; 404 ])
-    ?exclude ?memo ?pool ?speculate program tree =
+    ?exclude ?memo program tree =
   let multi_threaded = Array.length program.Ir.threads > 1 in
   let excluded site direction =
     match exclude with None -> false | Some set -> Hashtbl.mem set (site, direction)
   in
-  (* Each gap costs a directed symbolic exploration; bound the total
-     work per planning call, not just the directives handed out. *)
+  (* Bound the gaps considered per planning call, not just the
+     directives handed out. *)
   let max_considered = 3 * max_directives in
   (* The first [max_considered] non-excluded gaps, hottest first,
      pulled lazily from the tree's frontier index — the frontier is
@@ -59,58 +57,7 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
       |> Seq.take max_considered
       |> List.of_seq
   in
-  (* The verdict cache is mutex-guarded, so sharing it with the
-     speculative pool workers below is safe; cached answers equal
-     recomputed ones, so hits change no output. *)
-  let solve site direction = Testgen.for_direction ?config ?cache program ~site ~direction in
-  let memoized site direction =
-    match memo with
-    | None -> solve site direction
-    | Some memo -> (
-      match Gap_memo.find memo ~site ~direction with
-      | Some verdict -> verdict
-      | None ->
-        let verdict = solve site direction in
-        Gap_memo.add memo ~site ~direction verdict;
-        verdict)
-  in
-  (* Speculative parallel solving: with a real pool, the distinct
-     un-memoized (site, direction) queries among the candidates are
-     solved on worker domains up front.  [Testgen.for_direction] is a
-     pure function of (program, site, direction, config), so the only
-     observable difference is wall-clock time: the decision fold below
-     replays the exact sequential logic over the precomputed verdicts,
-     making the output identical for every pool size. *)
-  let precomputed : (Ir.site * bool, Gap_memo.verdict) Hashtbl.t = Hashtbl.create 8 in
-  (match pool with
-  | Some pool when Pool.size pool > 1 && candidates <> [] ->
-    let budget = Option.value ~default:(List.length candidates) speculate in
-    let seen = Hashtbl.create 8 in
-    let jobs =
-      List.filter_map
-        (fun (gap : Exec_tree.gap) ->
-          let site = gap.Exec_tree.site and direction = gap.Exec_tree.missing in
-          let known =
-            Hashtbl.mem seen (site, direction)
-            || (match memo with Some m -> Gap_memo.mem m ~site ~direction | None -> false)
-          in
-          if known then None
-          else begin
-            Hashtbl.replace seen (site, direction) ();
-            Some (site, direction)
-          end)
-        candidates
-      |> List.filteri (fun i _ -> i < budget)
-    in
-    let verdicts = Pool.map pool (fun (site, direction) -> solve site direction) jobs in
-    List.iter2
-      (fun (site, direction) verdict ->
-        Hashtbl.replace precomputed (site, direction) verdict;
-        match memo with
-        | Some memo -> Gap_memo.add memo ~site ~direction verdict
-        | None -> ())
-      jobs verdicts
-  | Some _ | None -> ());
+  let memo = match memo with Some memo -> memo | None -> Gap_memo.create () in
   let directives = ref [] in
   let n_directives = ref 0 in
   let considered = ref 0 in
@@ -120,12 +67,10 @@ let plan ?config ?cache ?(max_directives = 8) ?(schedule_probe_seeds = [ 101; 20
     (fun (gap : Exec_tree.gap) ->
       if !n_directives < max_directives && !considered < max_considered then begin
         incr considered;
-        let verdict =
-          match Hashtbl.find_opt precomputed (gap.Exec_tree.site, gap.Exec_tree.missing) with
-          | Some verdict -> verdict
-          | None -> memoized gap.Exec_tree.site gap.Exec_tree.missing
-        in
-        match verdict with
+        match
+          Gap_memo.verdict memo ?config ?cache program ~site:gap.Exec_tree.site
+            ~direction:gap.Exec_tree.missing
+        with
         | `Test test ->
           directives :=
             Cover_direction

@@ -12,7 +12,6 @@
 
 module Ir := Softborg_prog.Ir
 module Codec := Softborg_util.Codec
-module Pool := Softborg_util.Pool
 module Exec_tree := Softborg_tree.Exec_tree
 module Sym_exec := Softborg_symexec.Sym_exec
 module Testgen := Softborg_symexec.Testgen
@@ -44,8 +43,6 @@ val plan :
   ?schedule_probe_seeds:int list ->
   ?exclude:(Ir.site * bool, unit) Hashtbl.t ->
   ?memo:Gap_memo.t ->
-  ?pool:Pool.t ->
-  ?speculate:int ->
   Ir.t ->
   Exec_tree.t ->
   plan_result
@@ -54,14 +51,10 @@ val plan :
     {!Exec_tree.frontier_seq}, so a planning call touches O(k) gaps
     regardless of tree size.  Gaps whose [(site, direction)] is in the
     [exclude] set (already issued to a pod and not yet covered) are
-    skipped in O(1) each.  [memo] caches symbolic verdicts across
-    calls (see {!Gap_memo}); [cache] additionally memoizes the
-    underlying path-condition solver queries (shared across provers
-    and safe to hand to pool workers).  With a [pool] of size > 1, the distinct
-    un-memoized queries among the candidates — at most [speculate] of
-    them, default all — are solved speculatively on worker domains;
-    the decision fold then replays sequentially over the precomputed
-    verdicts, so the result is identical for every pool size.
+    skipped in O(1) each.  Verdicts come from [memo] (see
+    {!Gap_memo}; a fresh one when absent), which explores the program
+    once and answers every gap from that table; [cache] memoizes the
+    path-condition solver queries of that exploration.
     Multi-threaded programs whose gaps come back [Unknown] yield one
     [Probe_schedules] directive. *)
 

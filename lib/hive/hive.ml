@@ -180,17 +180,10 @@ type t = {
      set so the planner's exclusion check is O(1) per gap. *)
   issued_guidance : (string, (Ir.site * bool, unit) Hashtbl.t) Hashtbl.t;
   proof_state : (string, int * int) Hashtbl.t;  (* tree version, epoch *)
-  (* Worker pool for parallel symbolic gap solving; [None] when
-     [config.pool_size <= 1] (the default — no domains spawned). *)
+  (* Worker pool that builds programs' exploration tables in parallel;
+     [None] when [config.pool_size <= 1] (the default — no domains
+     spawned). *)
   pool : Pool.t option;
-  (* Portfolio allocation of pool workers across programs (paper §4):
-     per-program reward tasks fed with new-distinct-paths-per-tick,
-     and the latest node shares.  Purely a performance dial — it sizes
-     each program's speculative solve batch, never its output. *)
-  alloc_tasks : (string, Allocate.task) Hashtbl.t;
-  mutable next_alloc_task : int;
-  last_alloc_paths : (string, int) Hashtbl.t;
-  mutable allocation : (string * int) list;
   mutable traces_received : int;
   mutable messages_received : int;
   mutable analysis_ticks : int;
@@ -252,10 +245,6 @@ let create ?config ~sim () =
     issued_guidance = Hashtbl.create 8;
     proof_state = Hashtbl.create 8;
     pool = (if config.pool_size > 1 then Some (Pool.create ~size:config.pool_size) else None);
-    alloc_tasks = Hashtbl.create 4;
-    next_alloc_task = 0;
-    last_alloc_paths = Hashtbl.create 4;
-    allocation = [];
     traces_received = 0;
     messages_received = 0;
     analysis_ticks = 0;
@@ -694,6 +683,11 @@ let has_valid_proof k property =
    materialization. *)
 let knowledge_state k = (Exec_tree.version (Knowledge.tree k), Knowledge.epoch k)
 
+let knowledge_changed t digest k =
+  match Hashtbl.find_opt t.proof_state digest with
+  | Some previous -> previous <> knowledge_state k
+  | None -> true
+
 let prove_tick t k =
   let program = Knowledge.program k in
   ignore
@@ -702,7 +696,8 @@ let prove_tick t k =
   if not (has_valid_proof k Prover.Assert_safety) then begin
     match
       Prover.attempt_assert_safety ?config:t.config.symexec_config
-        ~cache:(Knowledge.verdict_cache k) ~program ~tree:(Knowledge.tree k)
+        ~cache:(Knowledge.verdict_cache k) ~memo:(Knowledge.gap_memo k) ~program
+        ~tree:(Knowledge.tree k)
         ~crash_observations:
           (List.fold_left (fun acc (e : Fixgen.crash_evidence) -> acc + e.Fixgen.count) 0
              (Knowledge.crash_evidence k))
@@ -740,77 +735,13 @@ let issued_for t k =
     Hashtbl.replace t.issued_guidance digest issued;
     issued
 
-(* Recompute the portfolio allocation of pool workers over programs
-   (paper §4): each program is a task whose reward stream is the new
-   distinct paths its tree gained since the last refresh.  Task ids
-   are handed out in sorted-digest order on first sight, so the
-   mapping is deterministic. *)
-let refresh_allocation t =
-  match t.pool with
-  | None -> ()
-  | Some pool ->
-    let digests =
-      Hashtbl.fold (fun digest _ acc -> digest :: acc) t.programs []
-      |> List.sort String.compare
-    in
-    let tasks =
-      List.map
-        (fun digest ->
-          let task =
-            match Hashtbl.find_opt t.alloc_tasks digest with
-            | Some task -> task
-            | None ->
-              t.next_alloc_task <- t.next_alloc_task + 1;
-              let task = Allocate.task t.next_alloc_task in
-              Hashtbl.replace t.alloc_tasks digest task;
-              task
-          in
-          (match Hashtbl.find_opt t.programs digest with
-          | None -> ()
-          | Some k ->
-            let paths = Exec_tree.n_distinct_paths (Knowledge.tree k) in
-            let prev = Option.value ~default:0 (Hashtbl.find_opt t.last_alloc_paths digest) in
-            Hashtbl.replace t.last_alloc_paths digest paths;
-            Allocate.observe_reward task (float_of_int (paths - prev)));
-          (digest, task))
-        digests
-    in
-    if tasks <> [] then begin
-      let shares =
-        Allocate.allocate
-          (Allocate.Mean_variance { risk_aversion = 0.5 })
-          ~nodes:(Pool.size pool) (List.map snd tasks)
-      in
-      t.allocation <-
-        List.map
-          (fun (digest, task) ->
-            let share =
-              Option.value ~default:0 (List.assoc_opt task.Allocate.task_id shares)
-            in
-            (digest, share))
-          tasks
-    end
-
-(* Speculative solve budget for one program: roughly [3 ×] its worker
-   share — each worker is worth a few queued queries — and at least
-   one, so no program's planning starves. *)
-let speculate_for t k =
-  match t.pool with
-  | None -> None
-  | Some _ ->
-    let share =
-      Option.value ~default:1 (List.assoc_opt (Knowledge.digest k) t.allocation)
-    in
-    Some (3 * max 1 share)
-
 let guidance_tick t k =
   if t.endpoints <> [] then begin
     let issued = issued_for t k in
     let result =
       Guidance.plan ?config:t.config.symexec_config ~cache:(Knowledge.verdict_cache k)
         ~max_directives:t.config.guidance_max
-        ~exclude:issued ~memo:(Knowledge.gap_memo k) ?pool:t.pool
-        ?speculate:(speculate_for t k) (Knowledge.program k) (Knowledge.tree k)
+        ~exclude:issued ~memo:(Knowledge.gap_memo k) (Knowledge.program k) (Knowledge.tree k)
     in
     (* Remember what was handed out (and what came back Unknown) so the
        next tick does not redo the symbolic work. *)
@@ -851,7 +782,24 @@ let tick t =
      lost with their pod, and a stale exclusion must not shadow a gap
      forever. *)
   if t.analysis_ticks mod 10 = 0 then Hashtbl.reset t.issued_guidance;
-  if t.config.mode = Full then refresh_allocation t;
+  (* With a real pool, build the exploration tables of the programs
+     about to be analyzed up front, one job per program.  Each job
+     touches only its own knowledge, and a table is the same however
+     it is built, so only wall-clock time depends on the pool size. *)
+  (match t.pool with
+  | Some pool when t.config.mode = Full ->
+    let stale =
+      Hashtbl.fold
+        (fun digest k acc -> if knowledge_changed t digest k then k :: acc else acc)
+        t.programs []
+    in
+    ignore
+      (Pool.map pool
+         (fun k ->
+           Gap_memo.report (Knowledge.gap_memo k) ?config:t.config.symexec_config
+             ~cache:(Knowledge.verdict_cache k) (Knowledge.program k))
+         stale)
+  | Some _ | None -> ());
   Hashtbl.iter
     (fun digest k ->
       match t.config.mode with
@@ -888,13 +836,7 @@ let tick t =
         end;
         (* Guidance and proofs involve symbolic exploration: only
            re-run them when this program's knowledge changed. *)
-        let state = knowledge_state k in
-        let changed =
-          match Hashtbl.find_opt t.proof_state digest with
-          | Some previous -> previous <> state
-          | None -> true
-        in
-        if changed then begin
+        if knowledge_changed t digest k then begin
           guidance_tick t k;
           if t.config.prove then prove_tick t k;
           Hashtbl.replace t.proof_state digest (knowledge_state k)

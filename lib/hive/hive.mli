@@ -70,11 +70,13 @@ type config = {
   prove : bool;  (** Attempt cumulative proofs on each tick (Full only). *)
   symexec_config : Sym_exec.config option;
   pool_size : int;
-      (** Worker domains for parallel symbolic gap solving (default 1 =
-          no domains, fully sequential).  Results are merged in
-          deterministic gap order, so any pool size produces the same
-          analysis output — only wall-clock time changes.  [Allocate]'s
-          portfolio weights split these workers across programs. *)
+      (** Worker domains for building programs' exploration tables in
+          parallel (default 1 = no domains, fully sequential).  Each
+          analysis tick builds the missing tables of the programs whose
+          knowledge changed, one job per program, before analyzing any
+          of them; a table is the same however it is built, so any
+          pool size produces the same analysis output — only
+          wall-clock time changes. *)
   overload : overload_config option;
       (** How {!inject} admits frames: capped decode, poison quarantine
           and muting, then bounded queueing with shedding and pod
@@ -206,7 +208,7 @@ val tick : t -> unit
 val shutdown : t -> unit
 (** Join the worker pool's domains, if any.  Idempotent; a hive with
     the default [pool_size = 1] shuts down as a no-op.  The hive's
-    knowledge stays readable afterwards — only parallel solving
+    knowledge stays readable afterwards — only parallel exploration
     capacity is released. *)
 
 val stats : t -> stats

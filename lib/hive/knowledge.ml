@@ -47,11 +47,13 @@ type t = {
      uploads (the common case at fleet scale) skip the replay. *)
   replay_cache : (string, Interp.reconstruction) Lru.t option;
   mutable replay_cache_hits : int;
-  (* Symbolic gap verdicts, shared by guidance planning and gap
-     closing; cleared with the replay cache on every epoch bump. *)
+  (* The program's symbolic exploration and the gap verdicts read from
+     it, shared by guidance planning, gap closing, assert-safety proofs
+     and input-guard synthesis.  Symbolic analysis sees the program,
+     never the fix set, so neither this nor the solver cache below is
+     cleared on an epoch bump. *)
   gap_memo : Gap_memo.t;
-  (* Path-condition solver verdicts, shared by every symbolic query
-     the hive runs against this program; same clearing discipline. *)
+  (* Path-condition solver verdicts of that exploration. *)
   verdict_cache : Softborg_solver.Verdict_cache.t;
 }
 
@@ -274,16 +276,17 @@ let bucket_counts t =
       match Int.compare b a with 0 -> String.compare k1 k2 | c -> c)
     (crash @ dl @ other)
 
+(* A new epoch: replay depends on the hooks in force at a trace's fix
+   epoch, and a new epoch can change the hook set, so cached
+   reconstructions are dropped rather than risked; proofs established
+   against an older fix set no longer hold. *)
+let invalidate_for_epoch t =
+  Option.iter Lru.clear t.replay_cache;
+  ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
+
 let bump_epoch t =
   t.epoch <- t.epoch + 1;
-  (* Replay depends on the hooks in force at a trace's fix epoch; a new
-     epoch can change the hook set, so cached reconstructions are
-     dropped rather than risked.  Same for the symbolic gap verdicts:
-     a new fix set means a new analyzed behavior. *)
-  Option.iter Lru.clear t.replay_cache;
-  Gap_memo.clear t.gap_memo;
-  Softborg_solver.Verdict_cache.clear t.verdict_cache;
-  ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
+  invalidate_for_epoch t
 
 (* With rollout active, every newly deployed fix enters the ledger as
    a canary; without it, fixes ship fleet-wide instantly (the legacy —
@@ -307,7 +310,11 @@ let register_canaries t new_fixes =
 
 let analyze ?symexec_config t =
   let new_fixes =
-    Fixgen.propose ?symexec_config ~program:t.program
+    Fixgen.propose
+      ~report:
+        (lazy
+          (Gap_memo.report t.gap_memo ?config:symexec_config ~cache:t.verdict_cache t.program))
+      ~program:t.program
       ~deadlock_patterns:(deadlock_pattern_sets t) ~crashes:(crash_evidence t)
       ~existing:t.fixes ~next_epoch:(t.epoch + 1) ()
   in
@@ -372,8 +379,7 @@ let lifecycle_tick t =
 (* Federation: a shard adopts the coordinator's deployed fix set
    wholesale, so its replay hooks for a given epoch match what the
    pods (and the merged knowledge) compute.  Invalidation mirrors
-   [bump_epoch] — a new fix set means previously cached verdicts and
-   reconstructions describe a different analyzed behavior.
+   [bump_epoch].
 
    Monotonic: a stale or reordered adoption (epoch ≤ ours) is dropped,
    never applied — a duplicated/delayed [Fix_update] on a lossy link
@@ -384,10 +390,7 @@ let adopt_fixes t ~fixes ~epoch ~retracted =
     t.fixes <- fixes;
     t.epoch <- epoch;
     t.retracted <- List.sort_uniq Int.compare retracted;
-    Option.iter Lru.clear t.replay_cache;
-    Gap_memo.clear t.gap_memo;
-    Softborg_solver.Verdict_cache.clear t.verdict_cache;
-    ignore (Prover.invalidate t.proofs ~current_epoch:t.epoch)
+    invalidate_for_epoch t
   end
 
 let record_proof t proof = t.proofs <- proof :: t.proofs

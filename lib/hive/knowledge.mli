@@ -69,15 +69,16 @@ val replay_cache_hits : t -> int
     the decoded-trace cache already held the reconstruction. *)
 
 val gap_memo : t -> Gap_memo.t
-(** Memoized symbolic gap verdicts for this program, shared by
-    guidance planning and the prover's gap closing; cleared whenever
-    the fix epoch bumps.  Not persisted in checkpoints. *)
+(** This program's symbolic exploration and the gap verdicts read from
+    it, shared by guidance planning, the prover (gap closing and
+    assert-safety) and {!analyze}'s input-guard search.  Symbolic
+    analysis depends on the program, not on the fix set, so it is
+    never cleared.  Not persisted in checkpoints. *)
 
 val verdict_cache : t -> Softborg_solver.Verdict_cache.t
-(** Memoized path-condition solver verdicts for this program, shared
-    by every symbolic query the hive runs (guidance, gap closing,
-    proof attempts, cooperating provers); cleared whenever the fix
-    epoch bumps.  Not persisted in checkpoints. *)
+(** Memoized path-condition solver verdicts for this program, used by
+    the {!gap_memo} exploration; never cleared.  Not persisted in
+    checkpoints. *)
 
 val hooks_for_epoch : t -> int -> Interp.hooks
 (** The runtime instrumentation (deadlock immunity + crash
@@ -123,7 +124,9 @@ val analyze : ?symexec_config:Sym_exec.config -> t -> Fixgen.fix list
 (** Synthesize fixes for uncovered evidence.  Deploying fixes bumps
     the epoch and invalidates proofs established against older
     epochs.  Returns the newly created fixes (including repair-lab
-    candidates, which do not deploy and do not bump the epoch). *)
+    candidates, which do not deploy and do not bump the epoch).  Input
+    guards come from the {!gap_memo} exploration under
+    [symexec_config]. *)
 
 val add_fix : t -> Fixgen.kind -> Fixgen.fix
 (** Install an externally-decided fix (the human repair lab of WER
@@ -141,8 +144,8 @@ val lifecycle_tick : t -> int list * (int * string) list
 val adopt_fixes : t -> fixes:Fixgen.fix list -> epoch:int -> retracted:int list -> unit
 (** Replace the fix set, epoch, and retracted set wholesale with the
     federation coordinator's, so replay hooks computed here for any
-    epoch match the merged knowledge's.  Clears the replay/memo/verdict
-    caches and invalidates stale proofs (as {!analyze} would).
+    epoch match the merged knowledge's.  Clears the replay cache and
+    invalidates stale proofs (as {!analyze} would).
     {b Monotonic}: adoptions at an epoch ≤ the current one are dropped
     — a duplicated or reordered update can never regress the fix set. *)
 

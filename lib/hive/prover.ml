@@ -44,28 +44,17 @@ let make_proof property strength epoch distinct_paths =
 
 let close_gaps ?config ?cache ?memo ?owned ?(limit = 24) program tree =
   let closed = ref 0 in
-  let verdict_for site direction =
-    (* Solving through [Testgen.for_direction] (rather than
-       [Sym_exec.direction_feasible] directly) classifies identically
-       and lets the prover share one memo table with the planner. *)
-    let solve () = Softborg_symexec.Testgen.for_direction ?config ?cache program ~site ~direction in
-    match memo with
-    | None -> solve ()
-    | Some memo -> (
-      match Gap_memo.find memo ~site ~direction with
-      | Some verdict -> verdict
-      | None ->
-        let verdict = solve () in
-        Gap_memo.add memo ~site ~direction verdict;
-        verdict)
-  in
+  let memo = match memo with Some memo -> memo | None -> Gap_memo.create () in
   (* Only the hottest [limit] gaps are pulled from the index; the
      frontier is never materialized in full. *)
   Exec_tree.frontier_seq tree
   |> (match owned with None -> Fun.id | Some owned -> Seq.filter owned)
   |> Seq.take (max 0 limit)
   |> Seq.iter (fun (gap : Exec_tree.gap) ->
-         match verdict_for gap.Exec_tree.site gap.Exec_tree.missing with
+         match
+           Gap_memo.verdict memo ?config ?cache program ~site:gap.Exec_tree.site
+             ~direction:gap.Exec_tree.missing
+         with
          | `Infeasible ->
            if
              Exec_tree.mark_infeasible tree ~prefix:gap.Exec_tree.prefix
@@ -74,13 +63,14 @@ let close_gaps ?config ?cache ?memo ?owned ?(limit = 24) program tree =
          | `Test _ | `Unknown -> ());
   !closed
 
-let attempt_assert_safety ?config ?cache ~program ~tree ~crash_observations ~epoch () =
+let attempt_assert_safety ?config ?cache ?memo ~program ~tree ~crash_observations ~epoch () =
   if crash_observations > 0 then None
   else begin
     let cfg = Option.value ~default:Sym_exec.default_config config in
     let single_threaded = Array.length program.Ir.threads <= 1 in
     if single_threaded then begin
-      let report = Sym_exec.explore ?config ?cache program Softborg_symexec.Consistency.Strict in
+      let memo = match memo with Some memo -> memo | None -> Gap_memo.create () in
+      let report = Gap_memo.report memo ?config ?cache program in
       let fully_solved =
         List.for_all
           (fun (p : Sym_exec.path) ->

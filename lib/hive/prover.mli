@@ -52,21 +52,22 @@ val close_gaps :
   int
 (** Symbolically close the tree's frontier: mark directions that no
     in-domain input reaches as infeasible (paper §3.3, the "incomplete
-    tree" hurdle).  Considers at most [limit] gaps (default 24 — each
-    costs a directed symbolic exploration), pulled lazily from
+    tree" hurdle).  Considers at most [limit] gaps (default 24), pulled lazily from
     {!Exec_tree.frontier_seq} so the cost is O(limit), and returns the
     number closed.  [owned] restricts attention to a subset of the
     frontier before the limit applies — federation shards pass their
     {!Shard_map.owner_of_verdict} test, so each distinct (site,
     direction) verdict is derived on exactly one shard instead of once
-    per shard whose subtree exposes the site.  [memo] caches verdicts across calls
-    (and across the guidance planner, which shares the same table);
-    [cache] memoizes the underlying path-condition solver queries.
+    per shard whose subtree exposes the site.  Verdicts come from
+    [memo] (a fresh one when absent), which explores the program once
+    and is shared with the guidance planner; [cache] memoizes the
+    path-condition solver queries of that exploration.
     Feasible gaps are left open for execution guidance. *)
 
 val attempt_assert_safety :
   ?config:Sym_exec.config ->
   ?cache:Softborg_solver.Verdict_cache.t ->
+  ?memo:Gap_memo.t ->
   program:Ir.t ->
   tree:Exec_tree.t ->
   crash_observations:int ->
@@ -79,7 +80,9 @@ val attempt_assert_safety :
     program (thread interleavings would weaken exploration to one
     schedule).  Multi-threaded or incomplete evidence yields a [Tested]
     proof instead — the weaker end of the spectrum — provided at least
-    one execution has been observed and none failed. *)
+    one execution has been observed and none failed.  The exploration
+    is [memo]'s ({!Gap_memo.report}; a fresh memo when absent), so it
+    is shared with {!close_gaps} and runs once per program. *)
 
 val attempt_deadlock_freedom :
   ?max_runs:int ->

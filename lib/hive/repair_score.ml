@@ -151,7 +151,7 @@ let proof_of_fixed ~config (inst : Corpus_bench.instance) know_f =
       else
         Prover.attempt_assert_safety
           ~cache:(Knowledge.verdict_cache know_f)
-          ~program ~tree ~crash_observations ~epoch:0 ()
+          ~memo:(Knowledge.gap_memo know_f) ~program ~tree ~crash_observations ~epoch:0 ()
     in
     Option.map (fun (p : Prover.proof) -> Prover.strength_name p.Prover.strength) proof
   in

@@ -66,6 +66,7 @@ type machine = {
   mutable cond : Path_cond.atom list;  (* reversed *)
   mutable decisions : (Ir.site * bool) list;  (* reversed *)
   mutable origins : sym_origin list;  (* reversed *)
+  mutable n_syscalls : int;  (* syscall symbols among [origins] *)
   mutable next_sym : int;
   mutable steps : int;
   mutable discharged : Ir.expr list;  (* divisors already constrained non-zero *)
@@ -83,19 +84,33 @@ let clone m =
 exception Trap_exn of V.crash
 exception Guard_exn of Ir.expr
 
+(* Which branch decisions get their path prefix solved for a model. *)
+type targets =
+  | No_targets
+  | Directed of Ir.site * bool  (* one decision; stop at its first model *)
+  | All_targets  (* every decision, once it has a model *)
+
+(* The solved prefix of a decision: the first model found in search
+   order, or a solve that ran out of budget with no model yet. *)
+type hit =
+  | Model of int array * sym_origin array
+  | Timed_out
+
 type explorer = {
   program : Ir.t;
   level : Consistency.level;
   config : config;
   mutable stack : machine list;
   mutable emitted : path list;  (* reversed *)
+  mutable n_emitted : int;
   mutable pruned : int;
   mutable total_steps : int;
-  mutable solver_steps : int;
-  mutable any_timeout : bool;
+  mutable solver_steps : int;  (* end-of-path solves only *)
+  mutable any_timeout : bool;  (* some end-of-path solve timed out *)
   mutable truncated : bool;
-  target : (Ir.site * bool) option;
-  mutable found : (int array * sym_origin array) option;
+  targets : targets;
+  hits : (Ir.site * bool, hit) Hashtbl.t;
+  mutable found : bool;  (* the [Directed] target has a model *)
   cache : Verdict_cache.t option;
 }
 
@@ -124,6 +139,7 @@ let initial_machine ex =
       cond = [];
       decisions = [];
       origins = [];
+      n_syscalls = 0;
       next_sym = 0;
       steps = 0;
       discharged = [];
@@ -214,27 +230,37 @@ let finalize ex m outcome =
       solver_verdict;
     }
   in
-  ex.emitted <- path :: ex.emitted
+  ex.emitted <- path :: ex.emitted;
+  ex.n_emitted <- ex.n_emitted + 1
 
+(* Solve the prefix condition of the decision just taken, unless it
+   already has a model; a model drives a concrete execution to this
+   very decision.  Solves leave the search itself untouched, so a run
+   with targets enumerates exactly the paths a run without them does. *)
 let check_target ex m =
-  match ex.target with
-  | None -> ()
-  | Some (site, direction) -> (
-    match m.decisions with
-    | (s, d) :: _ when Ir.site_equal s site && d = direction -> (
-      (* Solve the prefix condition now; a model drives a concrete
-         execution to this very decision. *)
-      let outcome =
-        Pc_solve.solve ?cache:ex.cache ~budget:ex.config.solver_budget ~domain:ex.config.domain
-          ~n_inputs:m.next_sym (List.rev m.cond)
-      in
-      ex.solver_steps <- ex.solver_steps + outcome.Interval.steps;
-      match outcome.Interval.verdict with
-      | Interval.Sat model ->
-        ex.found <- Some (model, Array.of_list (List.rev m.origins))
-      | Interval.Unsat -> ()
-      | Interval.Timeout -> ex.any_timeout <- true)
-    | _ -> ())
+  match m.decisions with
+  | [] -> ()
+  | ((site, direction) as decision) :: _ ->
+    let wanted =
+      match ex.targets with
+      | No_targets -> false
+      | Directed (s, d) -> Ir.site_equal s site && d = direction
+      | All_targets -> true
+    in
+    if wanted then
+      match Hashtbl.find_opt ex.hits decision with
+      | Some (Model _) -> ()
+      | Some Timed_out | None -> (
+        let outcome =
+          Pc_solve.solve ?cache:ex.cache ~budget:ex.config.solver_budget ~domain:ex.config.domain
+            ~n_inputs:m.next_sym (List.rev m.cond)
+        in
+        match outcome.Interval.verdict with
+        | Interval.Sat model ->
+          Hashtbl.replace ex.hits decision (Model (model, Array.of_list (List.rev m.origins)));
+          (match ex.targets with Directed _ -> ex.found <- true | No_targets | All_targets -> ())
+        | Interval.Unsat -> ()
+        | Interval.Timeout -> Hashtbl.replace ex.hits decision Timed_out)
 
 let record_decision ex m site taken =
   m.decisions <- (site, taken) :: m.decisions;
@@ -266,7 +292,7 @@ let all_finished m = Array.for_all (function Finished -> true | _ -> false) m.st
 let run_machine ex m =
   let program = ex.program in
   let rec loop () =
-    if ex.found <> None then ()
+    if ex.found then ()
     else if all_finished m then finalize ex m Completed
     else if m.steps >= ex.config.max_steps_per_path then finalize ex m Step_limit
     else
@@ -323,10 +349,8 @@ let run_machine ex m =
             m.status.(thread) <- Finished;
             loop ()
           | Ir.Syscall { kind; dst } ->
-            let occurrence =
-              List.length
-                (List.filter (function From_syscall _ -> true | _ -> false) m.origins)
-            in
+            let occurrence = m.n_syscalls in
+            m.n_syscalls <- occurrence + 1;
             let v = fresh_symbol m (From_syscall { occurrence; kind }) in
             (* Environment contract: a syscall returns -1 (fault) or a
                non-negative value. *)
@@ -399,7 +423,7 @@ let run_machine ex m =
   in
   match loop () with () -> () | exception Exit -> ()
 
-let explore_gen ?(config = default_config) ?cache ?target program level =
+let explore_gen ?(config = default_config) ?cache ?(targets = No_targets) program level =
   let ex =
     {
       program;
@@ -407,13 +431,15 @@ let explore_gen ?(config = default_config) ?cache ?target program level =
       config;
       stack = [];
       emitted = [];
+      n_emitted = 0;
       pruned = 0;
       total_steps = 0;
       solver_steps = 0;
       any_timeout = false;
       truncated = false;
-      target;
-      found = None;
+      targets;
+      hits = Hashtbl.create (match targets with All_targets -> 64 | _ -> 1);
+      found = false;
       cache;
     }
   in
@@ -422,8 +448,8 @@ let explore_gen ?(config = default_config) ?cache ?target program level =
     match ex.stack with
     | [] -> ()
     | m :: rest ->
-      if ex.found <> None then ()
-      else if List.length ex.emitted >= config.max_paths then ex.truncated <- true
+      if ex.found then ()
+      else if ex.n_emitted >= config.max_paths then ex.truncated <- true
       else begin
         ex.stack <- rest;
         run_machine ex m;
@@ -433,8 +459,7 @@ let explore_gen ?(config = default_config) ?cache ?target program level =
   drain ();
   ex
 
-let explore ?config ?cache program level =
-  let ex = explore_gen ?config ?cache program level in
+let report_of ex =
   {
     paths = List.rev ex.emitted;
     pruned_infeasible = ex.pruned;
@@ -443,15 +468,47 @@ let explore ?config ?cache program level =
     solver_steps = ex.solver_steps;
   }
 
+let explore ?config ?cache program level = report_of (explore_gen ?config ?cache program level)
+
 type direction_verdict =
   | Feasible of { model : int array; origins : sym_origin array }
   | Infeasible
   | Unknown
 
-let direction_feasible ?config ?cache program ~site ~direction =
-  let ex = explore_gen ?config ?cache ?target:(Some (site, direction)) program Consistency.Strict in
-  match ex.found with
-  | Some (model, origins) -> Feasible { model; origins }
+type table = {
+  report : report;
+  hits : (Ir.site * bool, hit) Hashtbl.t;
+  any_timeout : bool;
+  multi_threaded : bool;
+}
+
+let table_of ex =
+  {
+    report = report_of ex;
+    hits = ex.hits;
+    any_timeout = ex.any_timeout;
+    multi_threaded = Array.length ex.program.Ir.threads > 1;
+  }
+
+let explore_table ?config ?cache program =
+  table_of (explore_gen ?config ?cache ~targets:All_targets program Consistency.Strict)
+
+let table_report table = table.report
+
+(* A directed run matches the full run until its target gets a model,
+   so a direction without one saw the whole (possibly truncated)
+   enumeration: claim [Infeasible] only when that enumeration was
+   exhaustive, fully solved and single-threaded. *)
+let table_direction table ~site ~direction =
+  match Hashtbl.find_opt table.hits (site, direction) with
+  | Some (Model (model, origins)) -> Feasible { model; origins }
+  | Some Timed_out -> Unknown
   | None ->
-    let multi_threaded = Array.length program.Ir.threads > 1 in
-    if ex.truncated || ex.any_timeout || multi_threaded then Unknown else Infeasible
+    if table.report.truncated || table.any_timeout || table.multi_threaded then Unknown
+    else Infeasible
+
+let direction_feasible ?config ?cache program ~site ~direction =
+  let ex =
+    explore_gen ?config ?cache ~targets:(Directed (site, direction)) program Consistency.Strict
+  in
+  table_direction (table_of ex) ~site ~direction

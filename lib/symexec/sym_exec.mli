@@ -78,4 +78,34 @@ val direction_feasible :
   direction:bool ->
   direction_verdict
 (** Directed query: can some execution take branch [site] in
-    [direction]?  Returns with the first SAT model found. *)
+    [direction]?  Runs {!explore}'s search under [Strict] consistency,
+    solving the path prefix at each occurrence of the target decision,
+    and returns with the first SAT model found.  This is the oracle
+    {!table_direction} is tested against, and the per-gap query
+    {!Softborg_hive.Coop_symexec} budgets its workers by. *)
+
+(** {2 Exploration table}
+
+    One [Strict] exploration that answers every directed query at once.
+    The search is {!explore}'s, in the same order; at each branch
+    decision whose [(site, direction)] has no model yet, the path
+    prefix is solved exactly as {!direction_feasible} solves it for its
+    target.  Because a directed run matches the full run up to the
+    moment it finds its target, every answer equals
+    {!direction_feasible}'s, model and origins included. *)
+
+type table
+
+val explore_table : ?config:config -> ?cache:Verdict_cache.t -> Ir.t -> table
+(** Explore once and record the first model of every decision. *)
+
+val table_report : table -> report
+(** The report {!explore} returns for the same program, config and
+    [Strict] level ([solver_steps] counts end-of-path solves only, as
+    there). *)
+
+val table_direction : table -> site:Ir.site -> direction:bool -> direction_verdict
+(** [Feasible] with the first recorded model; otherwise [Unknown] when
+    the exploration was truncated, some end-of-path solve or a prefix
+    solve of this direction timed out, or the program is
+    multi-threaded; [Infeasible] in every other case. *)

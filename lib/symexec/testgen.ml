@@ -25,9 +25,11 @@ let of_model ~n_inputs ~model ~origins =
   in
   { inputs; fault_plan }
 
-let for_direction ?config ?cache program ~site ~direction =
-  match Sym_exec.direction_feasible ?config ?cache program ~site ~direction with
+let of_direction program = function
   | Sym_exec.Feasible { model; origins } ->
     `Test (of_model ~n_inputs:program.Ir.n_inputs ~model ~origins)
   | Sym_exec.Infeasible -> `Infeasible
   | Sym_exec.Unknown -> `Unknown
+
+let for_direction ?config ?cache program ~site ~direction =
+  of_direction program (Sym_exec.direction_feasible ?config ?cache program ~site ~direction)

@@ -21,6 +21,10 @@ val of_model :
   n_inputs:int -> model:int array -> origins:Sym_exec.sym_origin array -> test_case
 (** Project a symbol model onto the executable test surface. *)
 
+val of_direction :
+  Ir.t -> Sym_exec.direction_verdict -> [ `Test of test_case | `Infeasible | `Unknown ]
+(** Project a direction verdict: a model becomes a test case. *)
+
 val for_direction :
   ?config:Sym_exec.config ->
   ?cache:Softborg_solver.Verdict_cache.t ->

@@ -25,7 +25,6 @@ module Sim = Softborg_net.Sim
 module Transport = Softborg_net.Transport
 module Codec = Softborg_util.Codec
 module Rng = Softborg_util.Rng
-module Pool = Softborg_util.Pool
 module Gap_memo = Softborg_hive.Gap_memo
 
 let checki = Alcotest.check Alcotest.int
@@ -512,28 +511,27 @@ let guidance_tree ?(n = 50) ?(input_range = 6) () =
   done;
   tree
 
-let test_guidance_pool_deterministic () =
-  (* The speculative parallel solve must not change any observable:
-     identical directives, counters, and post-plan tree for every pool
-     size. *)
-  let plan_with size =
-    let tree = guidance_tree () in
-    let pool = Pool.create ~size in
-    let result =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Guidance.plan ~pool Corpus.parser tree)
-    in
-    (result, Exec_tree.frontier tree)
-  in
-  let r1, f1 = plan_with 1 in
-  let r2, f2 = plan_with 2 in
-  let r4, f4 = plan_with 4 in
-  checkb "pool=2 plan identical to sequential" true (r1 = r2);
-  checkb "pool=4 plan identical to sequential" true (r1 = r4);
-  checkb "pool=2 leaves identical tree" true (f1 = f2);
-  checkb "pool=4 leaves identical tree" true (f1 = f4);
-  checkb "sequential plan produced directives" true (r1.Guidance.directives <> [])
+let test_guidance_memo_survives_epoch () =
+  (* Gap verdicts depend on the program and the symexec config, never
+     on the fix set: a fix-epoch bump must not send the planner back to
+     the solver. *)
+  let k = Knowledge.create Corpus.parser in
+  let memo = Knowledge.gap_memo k in
+  let r1 = Guidance.plan ~memo Corpus.parser (guidance_tree ()) in
+  let misses_before = Gap_memo.misses memo in
+  let epoch_before = Knowledge.epoch k in
+  ignore
+    (Knowledge.add_fix k
+       (Fixgen.Crash_suppression
+          {
+            bucket = "crash:0:0";
+            site = { Ir.thread = 0; pc = 0 };
+            crash_kind = Outcome.Assertion_failure;
+          }));
+  checki "fix bumped the epoch" (epoch_before + 1) (Knowledge.epoch k);
+  let r2 = Guidance.plan ~memo Corpus.parser (guidance_tree ()) in
+  checki "no verdict re-solved after the bump" misses_before (Gap_memo.misses memo);
+  checkb "plan unchanged across the bump" true (r1 = r2)
 
 let test_guidance_memo_reused () =
   let memo = Gap_memo.create () in
@@ -966,7 +964,7 @@ let () =
         [
           Alcotest.test_case "covers gaps" `Quick test_guidance_covers_gaps;
           Alcotest.test_case "exclude respected" `Quick test_guidance_exclude_respected;
-          Alcotest.test_case "pool deterministic" `Quick test_guidance_pool_deterministic;
+          Alcotest.test_case "memo survives epoch" `Quick test_guidance_memo_survives_epoch;
           Alcotest.test_case "memo reused" `Quick test_guidance_memo_reused;
           Alcotest.test_case "sublinear counters" `Quick test_guidance_sublinear_counters;
           Alcotest.test_case "wire roundtrip" `Quick test_directive_wire_roundtrip;

@@ -149,7 +149,7 @@ let test_platform_deterministic () =
   checkb "same seed, same outcome" true (a = b)
 
 let test_platform_pool_size_invariant () =
-  (* The hive's speculative gap-solver pool must not leak into any
+  (* The hive's exploration-table pool must not leak into any
      observable output: the full formatted report of a fault-free
      simulation is byte-identical for every pool size. *)
   let render pool_size =

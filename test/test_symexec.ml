@@ -14,6 +14,7 @@ module Sym_exec = Softborg_symexec.Sym_exec
 module Consistency = Softborg_symexec.Consistency
 module Testgen = Softborg_symexec.Testgen
 module Path_cond = Softborg_solver.Path_cond
+module Verdict_cache = Softborg_solver.Verdict_cache
 module Rng = Softborg_util.Rng
 
 let checki = Alcotest.check Alcotest.int
@@ -208,6 +209,86 @@ let test_direction_unknown_for_multithreaded () =
   | Sym_exec.Feasible _ | Sym_exec.Unknown -> ()
   | Sym_exec.Infeasible -> Alcotest.fail "must not claim Infeasible for multithreaded programs"
 
+(* The exploration table must answer every directed query exactly as
+   the directed search does — constructor, model and origins — and its
+   report must be the plain [explore] report.  Covers the corpus plus
+   generated programs, under the default config, under one tight
+   enough to truncate and time out, and with a tight budget but no
+   end-of-path solving (so only the prefix solves can time out).  The directed queries of one
+   program share a verdict cache (cached answers equal recomputed
+   ones), which keeps a few dozen whole-program searches affordable;
+   the table and the report it is compared with are built cold. *)
+let test_table_equals_directed () =
+  let generated =
+    List.init 48 (fun i ->
+        fst
+          (Generator.generate (Rng.create (i + 1))
+             {
+               Generator.default_params with
+               Generator.bugs = [ Generator.Rare_assert ];
+               block_depth = 2;
+               stmts_per_block = 2;
+             }))
+  in
+  let programs = List.map snd Corpus.all @ generated in
+  let tight = { Sym_exec.default_config with Sym_exec.max_paths = 7; solver_budget = 50 } in
+  let prefixes_only =
+    { Sym_exec.default_config with Sym_exec.solver_budget = 50; solve_models = false }
+  in
+  let feasible = ref 0 and infeasible = ref 0 and unknown = ref 0 in
+  let truncated = ref 0 and timed_out = ref 0 and multi_threaded = ref 0 in
+  let prefix_timed_out = ref 0 in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun prog ->
+          let table = Sym_exec.explore_table ~config prog in
+          let report = Sym_exec.table_report table in
+          checkb "table report = explore" true
+            (report = Sym_exec.explore ~config prog Consistency.Strict);
+          if report.Sym_exec.truncated then incr truncated;
+          let path_timed_out =
+            List.exists (fun p -> p.Sym_exec.solver_verdict = `Timeout) report.Sym_exec.paths
+          in
+          if path_timed_out then incr timed_out;
+          if Array.length prog.Ir.threads > 1 then incr multi_threaded;
+          (* An [Unknown] no enumeration-wide reason explains. *)
+          let only_prefix_explains =
+            not (report.Sym_exec.truncated || path_timed_out || Array.length prog.Ir.threads > 1)
+          in
+          let cache = Verdict_cache.create ~capacity:100_000 () in
+          List.iter
+            (fun site ->
+              List.iter
+                (fun direction ->
+                  let expected = Sym_exec.direction_feasible ~config ~cache prog ~site ~direction in
+                  (match expected with
+                  | Sym_exec.Feasible _ -> incr feasible
+                  | Sym_exec.Infeasible -> incr infeasible
+                  | Sym_exec.Unknown ->
+                    incr unknown;
+                    if only_prefix_explains then incr prefix_timed_out);
+                  if Sym_exec.table_direction table ~site ~direction <> expected then
+                    Alcotest.failf "%s %a=%b: table verdict differs from directed search"
+                      prog.Ir.name Ir.pp_site site direction)
+                [ true; false ])
+            (Ir.branch_sites prog))
+        programs)
+    [ Sym_exec.default_config; tight; prefixes_only ];
+  (* The comparison is only meaningful if every verdict, and every
+     reason for [Unknown], actually occurs. *)
+  List.iter
+    (fun (what, n) -> checkb (what ^ " covered") true (n > 0))
+    [
+      ("feasible", !feasible);
+      ("infeasible", !infeasible);
+      ("unknown", !unknown);
+      ("truncation", !truncated);
+      ("path timeout", !timed_out);
+      ("prefix timeout", !prefix_timed_out);
+      ("multi-threaded", !multi_threaded);
+    ]
+
 let prop_symexec_models_replay =
   QCheck.Test.make ~name:"symbolic models replay concretely (random programs)" ~count:40
     QCheck.small_nat (fun seed ->
@@ -353,5 +434,6 @@ let () =
           Alcotest.test_case "detects infeasible" `Quick test_direction_infeasible_detected;
           Alcotest.test_case "unknown for multithreaded" `Quick
             test_direction_unknown_for_multithreaded;
+          Alcotest.test_case "table equals directed search" `Slow test_table_equals_directed;
         ] );
     ]
