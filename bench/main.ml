@@ -1649,7 +1649,8 @@ let overload_smoke () =
 (* measures executions/sec at population scale, the compile-cache hit  *)
 (* rate, and the marginal minor-heap words per dispatched instruction  *)
 (* (must be ~0: allocation in the hot loop would trigger cross-domain  *)
-(* minor collections on OCaml 5).  Emits BENCH_vm.json.                *)
+(* minor collections on OCaml 5), and the warm execute and reconstruct *)
+(* us/call of each engine per corpus program.  Emits BENCH_vm.json.    *)
 (* ==================================================================== *)
 
 let micro_vm ?(smoke = false) () =
@@ -1875,6 +1876,45 @@ let micro_vm ?(smoke = false) () =
         (total, tree_eps, vm_eps, speedup, hit_rate))
       sizes
   in
+  (* Per corpus program: one execution and its replay, each engine on
+     the same (inputs, seed, schedule), warm (compiled, buffers grown),
+     median of five batches.  These are the calls a pod and the hive's
+     replay make per trace. *)
+  let corpus_rows =
+    let calls = if smoke then 50 else 4_000 in
+    let cache = Bytecode.create_cache () in
+    let us_per_call f =
+      ignore (f ());
+      Stats.median
+        (List.init 5 (fun _ ->
+             let t0 = Unix.gettimeofday () in
+             for _ = 1 to calls do
+               ignore (Sys.opaque_identity (f ()))
+             done;
+             (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int calls))
+    in
+    List.map
+      (fun (name, program) ->
+        let env () = Env.make ~seed:5 ~inputs:(Array.make program.Ir.n_inputs 42) () in
+        let execute engine () =
+          Engine.run ~cache ~engine ~program ~env:(env ()) ~sched:Sched.Round_robin ()
+        in
+        let r = execute Engine.Tree () in
+        let reconstruct engine () =
+          Engine.reconstruct ~cache ~engine ~program ~bits:r.Interp.bits
+            ~schedule:r.Interp.schedule ~total_decisions:(List.length r.Interp.full_path)
+            ~total_steps:r.Interp.steps ()
+        in
+        assert (reconstruct Engine.Tree () = reconstruct Engine.Vm ());
+        let te = us_per_call (execute Engine.Tree) and ve = us_per_call (execute Engine.Vm) in
+        let tr = us_per_call (reconstruct Engine.Tree)
+        and vr = us_per_call (reconstruct Engine.Vm) in
+        Printf.printf
+          "  %-14s execute: tree %7.2f us | vm %7.2f us | %.2fx   reconstruct: tree %7.2f us | vm %7.2f us | %.2fx\n"
+          name te ve (te /. ve) tr vr (tr /. vr);
+        (name, te, ve, tr, vr))
+      Corpus.all
+  in
   (match List.rev rows with
   | (total, _, _, speedup, _) :: _ when not smoke ->
     if speedup < 3.0 then
@@ -1896,6 +1936,15 @@ let micro_vm ?(smoke = false) () =
           total tree_eps vm_eps speedup hit_rate
           (if i = last then "" else ","))
       rows;
+    Printf.fprintf oc "  ],\n  \"corpus\": [\n";
+    let last = List.length corpus_rows - 1 in
+    List.iteri
+      (fun i (name, te, ve, tr, vr) ->
+        Printf.fprintf oc
+          "    { \"program\": %S, \"tree_execute_us\": %.2f, \"vm_execute_us\": %.2f, \"execute_speedup\": %.2f, \"tree_reconstruct_us\": %.2f, \"vm_reconstruct_us\": %.2f, \"reconstruct_speedup\": %.2f }%s\n"
+          name te ve (te /. ve) tr vr (tr /. vr)
+          (if i = last then "" else ","))
+      corpus_rows;
     Printf.fprintf oc "  ]\n}\n";
     close_out oc;
     Printf.printf "wrote BENCH_vm.json\n"

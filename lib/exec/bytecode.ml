@@ -379,13 +379,24 @@ let compile (p : Ir.t) : t =
 
 (* ---- Compile cache ------------------------------------------------- *)
 
+(* Ring slots hold immutable pairs, each published by a single store
+   of a fully built block, so a lock-free reader sees an empty slot, an
+   older pair or the newer one — never a torn one (OCaml 5's memory
+   model: initialising writes of a block happen before any read that
+   observes the pointer to it).  Every pair is a correct
+   (program, compiled) mapping for good, so a stale read costs at most
+   a miss, which takes the locked path. *)
+type slot =
+  | Empty
+  | Slot of Ir.t * t
+
 type cache = {
-  mutex : Mutex.t;
+  mutex : Mutex.t;  (* guards [by_digest], [fast_next], [hits], [misses] and ring stores *)
   by_digest : (string, t) Hashtbl.t;
-  fast : (Ir.t * t) option array;  (* recent (program, compiled) pairs *)
+  fast : slot array;  (* recent (program, compiled) pairs, read without the lock *)
   mutable fast_next : int;
   mutable hits : int;
-  mutable fast_hits : int;
+  fast_hits : int Atomic.t;
   mutable misses : int;
 }
 
@@ -400,43 +411,44 @@ let create_cache ?(fast_slots = 64) () =
   {
     mutex = Mutex.create ();
     by_digest = Hashtbl.create 64;
-    fast = Array.make (max 1 fast_slots) None;
+    fast = Array.make (max 1 fast_slots) Empty;
     fast_next = 0;
     hits = 0;
-    fast_hits = 0;
+    fast_hits = Atomic.make 0;
     misses = 0;
   }
 
 let shared_cache = create_cache ()
 
+(* The slot holding [program] (by physical equality), or [Empty]; no
+   allocation, so the steady-state lookup costs a few loads. *)
+let rec scan_fast fast program i =
+  if i >= Array.length fast then Empty
+  else
+    match Array.unsafe_get fast i with
+    | Slot (p, _) as slot when p == program -> slot
+    | _ -> scan_fast fast program (i + 1)
+
 let find_or_compile cache program =
-  Mutex.lock cache.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache.mutex)
-    (fun () ->
-      (* Physical-equality fast path: pods hold one program value and
-         execute it millions of times, so the common lookup should not
-         even hash the digest. *)
-      let n = Array.length cache.fast in
-      let rec scan i =
-        if i >= n then None
-        else
-          match cache.fast.(i) with
-          | Some (p, compiled) when p == program -> Some compiled
-          | _ -> scan (i + 1)
-      in
-      match scan 0 with
-      | Some compiled ->
-        cache.fast_hits <- cache.fast_hits + 1;
-        compiled
-      | None ->
+  (* Physical-equality fast path: pods hold one program value and
+     execute it millions of times, so the common lookup should neither
+     hash the digest nor contend on the lock. *)
+  match scan_fast cache.fast program 0 with
+  | Slot (_, compiled) ->
+    Atomic.incr cache.fast_hits;
+    compiled
+  | Empty ->
+    Mutex.lock cache.mutex;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock cache.mutex)
+      (fun () ->
         let remember compiled =
-          cache.fast.(cache.fast_next) <- Some (program, compiled);
-          cache.fast_next <- (cache.fast_next + 1) mod n;
+          cache.fast.(cache.fast_next) <- Slot (program, compiled);
+          cache.fast_next <- (cache.fast_next + 1) mod Array.length cache.fast;
           compiled
         in
         let digest = Ir.digest program in
-        (match Hashtbl.find_opt cache.by_digest digest with
+        match Hashtbl.find_opt cache.by_digest digest with
         | Some compiled ->
           cache.hits <- cache.hits + 1;
           remember compiled
@@ -444,7 +456,7 @@ let find_or_compile cache program =
           let compiled = compile program in
           cache.misses <- cache.misses + 1;
           Hashtbl.replace cache.by_digest digest compiled;
-          remember compiled))
+          remember compiled)
 
 let cache_stats cache =
   Mutex.lock cache.mutex;
@@ -453,7 +465,7 @@ let cache_stats cache =
     (fun () ->
       {
         hits = cache.hits;
-        fast_hits = cache.fast_hits;
+        fast_hits = Atomic.get cache.fast_hits;
         misses = cache.misses;
         entries = Hashtbl.length cache.by_digest;
       })

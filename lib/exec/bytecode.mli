@@ -54,7 +54,9 @@ val compile : Ir.t -> t
     execution step, so compilations are memoized process-wide.  The
     cache is keyed by {!Ir.digest} and fronted by a small
     physical-equality ring so steady-state lookups (same program value
-    every execution) skip even the digest. *)
+    every execution) skip even the digest.  The ring is read without
+    the lock — from any domain, with no allocation — and the lock is
+    taken only on a ring miss. *)
 
 type cache
 

@@ -50,16 +50,16 @@ type thread_status =
   | Finished
 
 (* Growable-array accumulators for trace by-products: no per-event cons
-   on the hot loop and no final [List.rev].  The first push allocates at
-   [hint] capacity (sized from [max_steps]); growth doubles. *)
-type 'a vec = { mutable data : 'a array; mutable len : int; hint : int }
+   on the hot loop and no final [List.rev].  The first push allocates
+   16 slots; growth doubles, so a run pays for what it records. *)
+type 'a vec = { mutable data : 'a array; mutable len : int }
 
-let vec_make ~max_steps = { data = [||]; len = 0; hint = max 16 (min max_steps 4096) }
+let vec_make () = { data = [||]; len = 0 }
 
 let vec_push v x =
   let cap = Array.length v.data in
   if v.len = cap then begin
-    let grown = Array.make (if cap = 0 then v.hint else 2 * cap) x in
+    let grown = Array.make (if cap = 0 then 16 else 2 * cap) x in
     Array.blit v.data 0 grown 0 v.len;
     v.data <- grown
   end;
@@ -88,7 +88,7 @@ type machine = {
   lock_events : lock_event vec;
 }
 
-let make_machine ~program ~mode ~hooks ~max_steps =
+let make_machine ~program ~mode ~hooks =
   {
     program;
     mode;
@@ -102,9 +102,9 @@ let make_machine ~program ~mode ~hooks ~max_steps =
     deferred = 0;
     suppressed = 0;
     out_bits = Bitvec.create ();
-    decisions = vec_make ~max_steps;
-    syscalls = vec_make ~max_steps;
-    lock_events = vec_make ~max_steps;
+    decisions = vec_make ();
+    syscalls = vec_make ();
+    lock_events = vec_make ();
   }
 
 let known n = { v = Some n; tainted = false }
@@ -352,7 +352,7 @@ let drive m ~max_steps ~sched =
   (outcome, Sched.record scheduler)
 
 let run ?(max_steps = 20_000) ?(hooks = no_hooks) ~program ~env ~sched () =
-  let m = make_machine ~program ~mode:(Record env) ~hooks ~max_steps in
+  let m = make_machine ~program ~mode:(Record env) ~hooks in
   let outcome, schedule = drive m ~max_steps ~sched in
   {
     outcome;
@@ -374,7 +374,7 @@ type reconstruction = {
 let reconstruct ?(hooks = no_hooks) ~program ~bits ~schedule ~total_decisions ~total_steps ()
     =
   let mode = Replay { bits; bit_pos = 0; total_decisions } in
-  let m = make_machine ~program ~mode ~hooks ~max_steps:total_steps in
+  let m = make_machine ~program ~mode ~hooks in
   let scheduler = Sched.create (Sched.Replay schedule) in
   let rec loop () =
     if m.steps >= total_steps then Ok ()

@@ -28,10 +28,10 @@ type mode =
 
 (* Values are (int, taint-bit) pairs split across parallel arrays; a
    value is known iff the run records or the taint bit is clear (the
-   tree walk's [tainted <=> None] replay invariant, flattened).  All
-   by-product accumulators are packed int buffers sized >= 512 words so
-   every growth allocation lands directly on the major heap — the
-   dispatch loop itself allocates nothing in the minor heap. *)
+   tree walk's [tainted <=> None] replay invariant, flattened).  The
+   by-product accumulators are packed int buffers borrowed from the
+   domain's {!buffers} for the length of the run — the dispatch loop
+   itself allocates nothing in the minor heap. *)
 type machine = {
   prog : B.t;
   mode : mode;
@@ -52,6 +52,7 @@ type machine = {
   mutable deferred : int;
   mutable suppressed : int;
   out_bits : Bitvec.t;
+  bufs : buffers;  (* where [release] hands the (possibly grown) arrays back *)
   (* decisions packed as (pc lsl 16) lor (thread lsl 1) lor taken *)
   mutable dec : int array;
   mutable n_dec : int;
@@ -63,16 +64,42 @@ type machine = {
   mutable n_lev : int;
 }
 
-(* Initial by-product capacity: enough that short runs never grow, low
-   enough that zeroing it isn't a per-execution tax when [max_steps] is
-   large.  >= 512 words so both the initial arrays and every doubling
-   land directly on the major heap (Max_young_wosize), keeping the
-   minor heap quiet; decision-heavy runs grow amortized-O(1). *)
-let buf_size ~max_steps = max 512 (min (max max_steps 16) 4_096)
+(* Grow-only by-product arrays, one set per domain.  A run borrows
+   them (resetting only the machine's counts: nothing past a count is
+   ever read) and hands them back, grown or not, when it ends, so a
+   steady stream of runs allocates no by-product storage at all.  The
+   initial 512/1024 words are past Max_young_wosize, so the first set
+   and every doubling land directly on the major heap.  [busy] marks a
+   set on loan: a run started while it is out — a hook that runs the
+   VM again — gets a private set instead.  Only the owning domain
+   touches its set and no VM code runs on systhreads, so the
+   check-and-set in [make_machine] needs no atomic. *)
+and buffers = {
+  mutable busy : bool;
+  mutable b_dec : int array;
+  mutable b_sys_kind : int array;
+  mutable b_sys_val : int array;
+  mutable b_lev : int array;
+}
 
-let make_machine ~prog ~mode ~hooks ~max_steps =
+let new_buffers () =
+  {
+    busy = false;
+    b_dec = Array.make 512 0;
+    b_sys_kind = Array.make 512 0;
+    b_sys_val = Array.make 512 0;
+    b_lev = Array.make 1024 0;
+  }
+
+let domain_buffers = Domain.DLS.new_key new_buffers
+
+let make_machine ~prog ~mode ~hooks =
   let n_threads = Array.length prog.B.threads in
-  let cap = buf_size ~max_steps in
+  let bufs =
+    let own = Domain.DLS.get domain_buffers in
+    if own.busy then new_buffers () else own
+  in
+  bufs.busy <- true;
   {
     prog;
     mode;
@@ -93,14 +120,39 @@ let make_machine ~prog ~mode ~hooks ~max_steps =
     deferred = 0;
     suppressed = 0;
     out_bits = Bitvec.create ();
-    dec = Array.make cap 0;
+    bufs;
+    dec = bufs.b_dec;
     n_dec = 0;
-    sys_kind = Array.make 512 0;
-    sys_val = Array.make 512 0;
+    sys_kind = bufs.b_sys_kind;
+    sys_val = bufs.b_sys_val;
     n_sys = 0;
-    lev = Array.make 1024 0;
+    lev = bufs.b_lev;
     n_lev = 0;
   }
+
+(* Hand the by-product arrays back; the machine must not be read
+   after this.  Every exit of a run goes through here — including
+   [Vm_crash], a replay error and an exception raised by a hook —
+   or the domain's set would stay on loan and every later run would
+   allocate a private one. *)
+let release m =
+  let b = m.bufs in
+  b.b_dec <- m.dec;
+  b.b_sys_kind <- m.sys_kind;
+  b.b_sys_val <- m.sys_val;
+  b.b_lev <- m.lev;
+  b.busy <- false
+
+(* Run [f m] and release [m] however [f] exits. *)
+let with_machine m f =
+  match f m with
+  | r ->
+    release m;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release m;
+    Printexc.raise_with_backtrace e bt
 
 let grow a =
   let b = Array.make (2 * Array.length a) 0 in
@@ -586,65 +638,66 @@ let lock_events_list m =
 let execute ?(max_steps = 20_000) ?(hooks = Interp.no_hooks) ?(cache = B.shared_cache) ~program
     ~env ~sched () =
   let prog = B.find_or_compile cache program in
-  let m = make_machine ~prog ~mode:(Record env) ~hooks ~max_steps in
   let scheduler = Sched.create sched in
-  let n_threads = Array.length m.status in
-  let rec loop () =
-    if m.finished = n_threads then Outcome.Success
-    else if m.steps >= max_steps then Outcome.Hang
-    else
-      let n = runnable_scan m in
-      if n = 0 then Outcome.Deadlock { waiting = waiting_pairs m }
-      else begin
-        let thread = Sched.choose_prefix scheduler ~buf:m.runnable ~n in
-        m.steps <- m.steps + 1;
-        match exec m thread with
-        | () -> loop ()
-        | exception Vm_crash (kind, message, pc) ->
-          Outcome.Crash { site = { Ir.thread; pc }; kind; message }
-      end
-  in
-  let outcome = loop () in
-  {
-    Interp.outcome;
-    bits = m.out_bits;
-    full_path = decisions_list m;
-    schedule = Sched.record scheduler;
-    syscalls = syscalls_list m;
-    lock_events = lock_events_list m;
-    steps = m.steps;
-    deferred_acquisitions = m.deferred;
-    suppressed_crashes = m.suppressed;
-  }
+  with_machine (make_machine ~prog ~mode:(Record env) ~hooks) (fun m ->
+      let n_threads = Array.length m.status in
+      let rec loop () =
+        if m.finished = n_threads then Outcome.Success
+        else if m.steps >= max_steps then Outcome.Hang
+        else
+          let n = runnable_scan m in
+          if n = 0 then Outcome.Deadlock { waiting = waiting_pairs m }
+          else begin
+            let thread = Sched.choose_prefix scheduler ~buf:m.runnable ~n in
+            m.steps <- m.steps + 1;
+            match exec m thread with
+            | () -> loop ()
+            | exception Vm_crash (kind, message, pc) ->
+              Outcome.Crash { site = { Ir.thread; pc }; kind; message }
+          end
+      in
+      let outcome = loop () in
+      {
+        Interp.outcome;
+        bits = m.out_bits;
+        full_path = decisions_list m;
+        schedule = Sched.record scheduler;
+        syscalls = syscalls_list m;
+        lock_events = lock_events_list m;
+        steps = m.steps;
+        deferred_acquisitions = m.deferred;
+        suppressed_crashes = m.suppressed;
+      })
 
 let reconstruct ?(hooks = Interp.no_hooks) ?(cache = B.shared_cache) ~program ~bits ~schedule
     ~total_decisions ~total_steps () =
   let prog = B.find_or_compile cache program in
-  let m = make_machine ~prog ~mode:(Replay { bits; bit_pos = 0 }) ~hooks ~max_steps:total_steps in
   let scheduler = Sched.create (Sched.Replay schedule) in
-  let n_threads = Array.length m.status in
-  let rec loop () =
-    if m.steps >= total_steps then Ok ()
-    else if m.finished = n_threads then Ok ()
-    else
-      let n = runnable_scan m in
-      if n = 0 then Ok () (* deadlocked execution: path ends here *)
-      else begin
-        let thread = Sched.choose_prefix scheduler ~buf:m.runnable ~n in
-        m.steps <- m.steps + 1;
-        match exec m thread with
-        | () -> loop ()
-        | exception Vm_crash _ -> Ok () (* concrete crash on a deterministic path *)
-        | exception Replay_error_local msg ->
-          (* Bits running dry on the recorded crash step is the normal
-             end of a trace cut short while evaluating a branch. *)
-          if m.n_dec = total_decisions && m.steps >= total_steps then Ok () else Error msg
-      end
-  in
-  match loop () with
-  | Ok () ->
-    if m.n_dec <> total_decisions then
-      Error
-        (Printf.sprintf "reconstructed %d decisions, trace recorded %d" m.n_dec total_decisions)
-    else Ok { Interp.decisions = decisions_list m; locks = lock_events_list m }
-  | Error msg -> Error msg
+  with_machine (make_machine ~prog ~mode:(Replay { bits; bit_pos = 0 }) ~hooks) (fun m ->
+      let n_threads = Array.length m.status in
+      let rec loop () =
+        if m.steps >= total_steps then Ok ()
+        else if m.finished = n_threads then Ok ()
+        else
+          let n = runnable_scan m in
+          if n = 0 then Ok () (* deadlocked execution: path ends here *)
+          else begin
+            let thread = Sched.choose_prefix scheduler ~buf:m.runnable ~n in
+            m.steps <- m.steps + 1;
+            match exec m thread with
+            | () -> loop ()
+            | exception Vm_crash _ -> Ok () (* concrete crash on a deterministic path *)
+            | exception Replay_error_local msg ->
+              (* Bits running dry on the recorded crash step is the normal
+                 end of a trace cut short while evaluating a branch. *)
+              if m.n_dec = total_decisions && m.steps >= total_steps then Ok () else Error msg
+          end
+      in
+      match loop () with
+      | Ok () ->
+        if m.n_dec <> total_decisions then
+          Error
+            (Printf.sprintf "reconstructed %d decisions, trace recorded %d" m.n_dec
+               total_decisions)
+        else Ok { Interp.decisions = decisions_list m; locks = lock_events_list m }
+      | Error msg -> Error msg)

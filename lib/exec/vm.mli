@@ -7,10 +7,15 @@
     dense slot arrays.  After the per-run setup, the dispatch loop
     allocates no minor words per iteration: values live in
     preallocated int arrays, taint in bytes, and trace by-products
-    accumulate into packed int buffers whose growth goes straight to
-    the major heap.  That matters because pods share a process with
-    racing solver domains, and OCaml 5 minor collections stop every
-    domain.
+    accumulate into packed int buffers.  Those buffers are kept per
+    domain and reused from run to run (grow-only, counts reset at the
+    start of a run), so a warm run allocates only its small per-thread
+    slot arrays and the result it returns — no by-product storage and
+    nothing on the major heap.  That matters because pods share a
+    process with racing solver domains, and OCaml 5 minor collections
+    stop every domain.  A run started while the domain's buffers are on
+    loan (a hook that runs the VM again) gets private ones; every exit
+    of a run, an exception raised by a hook included, hands them back.
 
     Equivalence with {!Interp} is a tested property (identical
     {!Outcome.t}, bits, decisions, syscall summaries, lock events, and

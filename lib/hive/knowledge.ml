@@ -1,6 +1,7 @@
 module Ir = Softborg_prog.Ir
 module Outcome = Softborg_exec.Outcome
 module Interp = Softborg_exec.Interp
+module Vm = Softborg_exec.Vm
 module Trace = Softborg_trace.Trace
 module Sampling = Softborg_trace.Sampling
 module Exec_tree = Softborg_tree.Exec_tree
@@ -220,7 +221,7 @@ let ingest_trace ?prepared t (trace : Trace.t) =
       | None -> (
         let hooks = replay_hooks t trace in
         match
-          Interp.reconstruct ~hooks ~program:t.program ~bits:trace.Trace.bits
+          Vm.reconstruct ~hooks ~program:t.program ~bits:trace.Trace.bits
             ~schedule:trace.Trace.schedule ~total_decisions:trace.Trace.n_decisions
             ~total_steps:trace.Trace.steps ()
         with

@@ -65,7 +65,7 @@ val failures_observed : t -> int
 val replay_errors : t -> int
 
 val replay_cache_hits : t -> int
-(** Ingestions that skipped {!Softborg_exec.Interp.reconstruct} because
+(** Ingestions that skipped {!Softborg_exec.Vm.reconstruct} because
     the decoded-trace cache already held the reconstruction. *)
 
 val gap_memo : t -> Gap_memo.t
@@ -101,7 +101,12 @@ val ingest_trace :
   (unit, string) result
 (** Full ingestion: replay the by-products, merge the path into the
     tree, feed the deadlock miner and the isolator, bucket failures.
-    [prepared] skips re-encoding at admission (see
+    The replay runs on the bytecode VM ({!Softborg_exec.Vm.reconstruct},
+    the program compiled once through the process-wide
+    {!Softborg_exec.Bytecode.shared_cache}) under the hooks of the fix
+    set the trace ran with; its result, including the error text of a
+    replay that fails, equals {!Softborg_exec.Interp.reconstruct}'s, a
+    tested property.  [prepared] skips re-encoding at admission (see
     {!Trace_store.prepare}). *)
 
 val ingest_sampled : t -> Sampling.t -> unit
